@@ -8,7 +8,7 @@ from .augment import Dataset, Sample, hflip, random_crop, resize_to, split_60_40
 from .initializers import InitSpec
 from .layers import ConvConfig, DropoutConfig, LrnConfig, Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
-from .tensor import Tensor4, axpy_scale, sq_l2
+from .tensor import Tensor4
 from .trainer import (
     Network,
     TrainConfig,
@@ -27,7 +27,7 @@ __all__ = [
     "AdamConfig", "AdamState", "ConvConfig", "Dataset", "DropoutConfig",
     "InitSpec", "LayerSpec", "LrnConfig", "Mode", "Network", "NetworkSpec",
     "PlateauScheduler", "PRESETS", "Sample", "SchedulerConfig", "Tensor4",
-    "TrainConfig", "TrainHistory", "axpy_scale", "build", "evaluate",
-    "freeze", "hflip", "load_checkpoint", "parse", "random_crop", "render",
-    "resize_to", "save_checkpoint", "split_60_40", "sq_l2", "train",
+    "TrainConfig", "TrainHistory", "build", "evaluate", "freeze", "hflip",
+    "load_checkpoint", "parse", "random_crop", "render", "resize_to",
+    "save_checkpoint", "split_60_40", "train",
 ]

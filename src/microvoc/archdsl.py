@@ -24,17 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArchError, ShapeError
-from .layers import (
-    DEFAULT_CONV_KERNEL,
-    DEFAULT_CONV_PAD,
-    DEFAULT_CONV_STRIDE,
-    DEFAULT_POOL_KERNEL,
-    DEFAULT_POOL_STRIDE,
-    ConvConfig,
-    DropoutConfig,
-    LrnConfig,
-    conv_out_dim,
-)
+from .layers import realize
 
 KINDS = ("conv", "relu", "maxpool", "lrn", "dropout", "fc", "softmax")
 
@@ -225,70 +215,28 @@ def parse_layers(text: str) -> list[LayerSpec]:
     return layers
 
 
-def conv_geometry(ls: LayerSpec) -> tuple[tuple[int, int], int, int]:
-    """(kernel, stride, pad) for a conv LayerSpec with defaults filled in."""
-    k = ls.opts.get("k", DEFAULT_CONV_KERNEL[0])
-    return (k, k), ls.opts.get("s", DEFAULT_CONV_STRIDE), ls.opts.get("p", DEFAULT_CONV_PAD)
-
-
-def pool_geometry(ls: LayerSpec) -> tuple[int, int]:
-    return ls.opts.get("k", DEFAULT_POOL_KERNEL), ls.opts.get("s", DEFAULT_POOL_STRIDE)
-
-
 def infer_shapes(layers: list[LayerSpec],
                  input_dims: tuple[int, int, int]) -> tuple[list[tuple[int, int, int]], int]:
     """Walk the layer list computing output dims and the parameter count.
 
     Raises ArchError identifying the offending layer when a conv/pool
-    geometry does not divide exactly or an FC/Softmax is misplaced.
+    geometry does not divide exactly, an option value is out of range or
+    a Softmax is misplaced.
     """
     c, h, w = input_dims
     if c < 1 or h < 1 or w < 1:
         raise ArchError(f"input dims must be positive, got {input_dims}")
+    dims = (c, h, w)
     shapes: list[tuple[int, int, int]] = []
     params = 0
     for i, ls in enumerate(layers):
-        where = f"layer {i} ({ls.token()})"
-        if ls.kind == "conv":
-            (kh, kw), s, p = conv_geometry(ls)
-            try:
-                ConvConfig(ls.count, (kh, kw), s, p)
-                ho = conv_out_dim(h, kh, s, p)
-                wo = conv_out_dim(w, kw, s, p)
-            except (ShapeError, ValueError) as e:
-                raise ArchError(f"{where}: {e}") from e
-            params += ls.count * c * kh * kw + ls.count
-            c, h, w = ls.count, ho, wo
-        elif ls.kind == "maxpool":
-            k, s = pool_geometry(ls)
-            try:
-                if k < 1 or s < 1:
-                    raise ValueError(f"pool kernel/stride must be >= 1, got k={k} s={s}")
-                h = conv_out_dim(h, k, s, 0, "maxpool")
-                w = conv_out_dim(w, k, s, 0, "maxpool")
-            except (ShapeError, ValueError) as e:
-                raise ArchError(f"{where}: {e}") from e
-        elif ls.kind == "lrn":
-            try:
-                LrnConfig(k=ls.opts.get("k", LrnConfig.k),
-                          n=ls.opts.get("n", LrnConfig.n),
-                          alpha=ls.opts.get("alpha", LrnConfig.alpha),
-                          beta=ls.opts.get("beta", LrnConfig.beta))
-            except ValueError as e:
-                raise ArchError(f"{where}: {e}") from e
-        elif ls.kind == "dropout":
-            try:
-                DropoutConfig(ls.opts.get("p", DropoutConfig.p))
-            except ValueError as e:
-                raise ArchError(f"{where}: {e}") from e
-        elif ls.kind == "fc":
-            params += ls.count * (c * h * w) + ls.count
-            c, h, w = ls.count, 1, 1
-        elif ls.kind == "softmax":
-            if (h, w) != (1, 1):
-                raise ArchError(f"{where}: Softmax needs (C,1,1) input, got ({c},{h},{w})")
-        # relu, lrn, dropout and softmax preserve dims and have no parameters
-        shapes.append((c, h, w))
+        try:
+            layer = realize(ls, dims)
+        except (ShapeError, ValueError) as e:
+            raise ArchError(f"layer {i} ({ls.token()}): {e}") from e
+        dims = layer.out_dims
+        params += layer.param_count
+        shapes.append(dims)
     return shapes, params
 
 

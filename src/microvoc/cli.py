@@ -26,8 +26,8 @@ from .errors import (
     MicrovocError,
 )
 from .initializers import InitSpec
-from .layers import Mode
-from .optim import AdamConfig, SchedulerConfig
+from .layers import Mode, realize
+from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from .tensor import Tensor4
 from .trainer import TrainConfig
 
@@ -174,17 +174,22 @@ def cmd_train(args) -> int:
         stats_path=out_dir / "dataset_stats.json",
     )
 
-    net = adam_state = scheduler = None
+    # the optimizer and scheduler state live here, not in the evaluation
+    # callback, so model.ckpt carries them even when no evaluation ran
+    net = None
+    adam_state = AdamState()
+    scheduler = PlateauScheduler(config.scheduler)
     start_iteration = 0
-    alpha = None
+    alpha = config.adam.alpha
     if run_cfg.resume:
         ckpt = trainer.load_checkpoint(run_cfg.resume)
-        net, adam_state = ckpt.net, ckpt.adam_state
-        start_iteration, alpha = ckpt.iteration, ckpt.alpha
+        net, start_iteration, alpha = ckpt.net, ckpt.iteration, ckpt.alpha
+        if ckpt.adam_state is not None:
+            adam_state = ckpt.adam_state
         scheduler = ckpt.make_scheduler(config.scheduler)
 
     ckpt_kwargs = dict(channel_means=dataset.channel_means, class_names=class_names)
-    last = {"alpha": alpha if alpha is not None else config.adam.alpha}
+    last = {"alpha": alpha}
 
     def on_eval(event):
         point = event.point
@@ -192,8 +197,6 @@ def cmd_train(args) -> int:
               f"train_acc={point.train_acc:.4f} val_acc={point.val_acc:.4f} "
               f"alpha={point.alpha:.3g}", flush=True)
         last["alpha"] = event.next_alpha
-        last["state"] = event.adam_state
-        last["sched"] = event.scheduler
         if run_cfg.checkpoint_every and point.iteration % run_cfg.checkpoint_every == 0:
             trainer.save_checkpoint(
                 out_dir / f"checkpoint_{point.iteration}.ckpt",
@@ -204,9 +207,9 @@ def cmd_train(args) -> int:
     net, history = trainer.train(config, dataset, net=net, adam_state=adam_state,
                                  start_iteration=start_iteration, alpha=alpha,
                                  scheduler=scheduler, on_eval=on_eval)
-    trainer.save_checkpoint(out_dir / "model.ckpt", net, last.get("state"),
+    trainer.save_checkpoint(out_dir / "model.ckpt", net, adam_state,
                             iteration=config.max_iterations, alpha=last["alpha"],
-                            scheduler=last.get("sched"), **ckpt_kwargs)
+                            scheduler=scheduler, **ckpt_kwargs)
     history.to_csv(out_dir / "history.csv")
     return EXIT_OK
 
@@ -258,12 +261,12 @@ def cmd_inspect(args) -> int:
     h = w = args.input_size
     spec = archdsl.parse(archdsl.resolve_arch(args.arch), (3, h, w))
     print(f"input: (3, {h}, {w})")
-    c, hh, ww = spec.input_dims
-    for ls, shape in zip(spec.layers, spec.shapes):
-        _, layer_params = archdsl.infer_shapes([ls], (c, hh, ww))
-        c, hh, ww = shape
-        print(f"{ls.token():<24} -> ({shape[0]}, {shape[1]}, {shape[2]})"
-              f"{'':4}params={layer_params}")
+    dims = spec.input_dims
+    for ls in spec.layers:
+        layer = realize(ls, dims)
+        dims = layer.out_dims
+        print(f"{ls.token():<24} -> ({dims[0]}, {dims[1]}, {dims[2]})"
+              f"{'':4}params={layer.param_count}")
     print(f"total parameters: {spec.param_count}")
     return EXIT_OK
 

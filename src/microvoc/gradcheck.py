@@ -1,10 +1,11 @@
 """Finite-difference verification of every analytic gradient.
 
-Each check builds a scalar probe loss L from a layer's output (the sum
-of output * R for a fixed random R, or the cross-entropy loss itself),
-computes the analytic gradient through the backward pass, and compares
-it elementwise against central differences (f(x+eps) - f(x-eps)) / 2eps
-in double precision.
+One generic check runs each layer kind's cases through the trainer's
+forward/backward table. It builds a scalar probe loss L from the layer's
+output (the sum of output * R for a fixed random R, or the cross-entropy
+loss itself), computes the analytic gradient through the backward pass,
+and compares it elementwise against central differences
+(f(x+eps) - f(x-eps)) / 2eps in double precision.
 
 Relative error is |a - b| / max(1e-8, |a| + |b|), and a check passes
 when its maximum over all components is below the threshold.
@@ -12,33 +13,17 @@ when its maximum over all components is below the threshold.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from . import archdsl, trainer
-from .layers import (
-    ConvConfig,
-    DropoutConfig,
-    LrnConfig,
-    Mode,
-    conv2d_backward,
-    conv2d_forward,
-    dropout_backward,
-    fc_backward,
-    fc_forward,
-    lrn_backward,
-    lrn_forward,
-    maxpool_backward,
-    maxpool_forward,
-    relu_backward,
-    relu_forward,
-    softmax_cross_entropy,
-)
+from .archdsl import LayerSpec
+from .layers import Mode, realize, softmax_cross_entropy
 from .tensor import Tensor4
 
 EPS = 1e-5
 THRESHOLD = 1e-4
-
-LAYER_KINDS = ("conv", "relu", "maxpool", "lrn", "dropout", "fc", "softmax", "network")
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = EPS) -> np.ndarray:
@@ -62,131 +47,85 @@ def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
-def _probe(rng: np.random.Generator, dims) -> np.ndarray:
+def _worst(loss, pairs) -> float:
+    """Max relative error over (analytic gradient, input array) pairs."""
+    return max(max_rel_error(got, numerical_grad(loss, arr)) for got, arr in pairs)
+
+
+def _normal(rng, dims):
     return rng.standard_normal(dims)
 
 
-def check_conv(seed: int = 0) -> float:
+def _off_kink(rng, dims):
+    x = rng.standard_normal(dims)
+    x += np.sign(x) * 0.1  # keep every element away from ReLU's kink at 0
+    return x
+
+
+def _distinct(rng, dims):
+    # distinct values with gaps far above eps, so no maxpool argmax flips
+    return (rng.permutation(np.prod(dims)).astype(np.float64) * 0.01).reshape(dims)
+
+
+def _random_probe(rng, out):
+    """L = sum(out * R) for a fixed random R, whose gradient is R."""
+    r = rng.standard_normal(out.dims)
+    return lambda o: float((o.data * r).sum()), Tensor4(r)
+
+
+def _xent_probe(rng, out):
+    """L = the cross-entropy of the logits ``out`` for random labels."""
+    labels = rng.integers(0, out.dims[1], size=out.dims[0])
+    return (lambda o: softmax_cross_entropy(o, labels)[0],
+            softmax_cross_entropy(out, labels)[2])
+
+
+#: kind -> cases of (input maker, input dims, layer, probe); every
+#: parameter is drawn standard normal after the input
+CASES = {
+    "conv": [  # shape-preserving and strided geometries
+        (_normal, (2, 3, 5, 5), LayerSpec("conv", 4, {"k": 3, "s": 1, "p": 1}), _random_probe),
+        (_normal, (2, 2, 6, 6), LayerSpec("conv", 3, {"k": 2, "s": 2, "p": 0}), _random_probe),
+    ],
+    "relu": [(_off_kink, (2, 3, 5, 5), LayerSpec("relu"), _random_probe)],
+    "maxpool": [  # non-overlapping and overlapping windows
+        (_distinct, (2, 3, 6, 6), LayerSpec("maxpool", opts={"k": 2, "s": 2}), _random_probe),
+        (_distinct, (2, 2, 7, 7), LayerSpec("maxpool", opts={"k": 3, "s": 2}), _random_probe),
+    ],
+    "lrn": [(_normal, (2, 6, 4, 4),
+             LayerSpec("lrn", opts={"k": 2.0, "n": 5, "alpha": 0.05, "beta": 0.75}),
+             _random_probe)],
+    "dropout": [(_normal, (2, 3, 5, 5), LayerSpec("dropout", opts={"p": 0.5}), _random_probe)],
+    "fc": [(_normal, (2, 3, 4, 4), LayerSpec("fc", 5), _random_probe)],
+    "softmax": [(_normal, (4, 7, 1, 1), LayerSpec("softmax"), _xent_probe)],
+}
+
+
+def check_layer(kind: str, seed: int = 0) -> float:
+    """Input and parameter gradients of every case of ``kind``, through
+    the trainer's forward/backward adapters in train mode, against central
+    differences. The probe loss reruns the forward on a copy of the
+    generator as it was before the analytic forward, so dropout keeps the
+    same mask throughout."""
+    forward, backward = trainer.DISPATCH[kind]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    # shape-preserving and strided geometries
-    cases = [
-        ((2, 3, 5, 5), ConvConfig(4, (3, 3), 1, 1)),
-        ((2, 2, 6, 6), ConvConfig(3, (2, 2), 2, 0)),
-    ]
-    for x_dims, cfg in cases:
-        x = Tensor4(rng.standard_normal(x_dims))
-        w = Tensor4(rng.standard_normal((cfg.filters, x_dims[1], *cfg.kernel)))
-        b = Tensor4(rng.standard_normal((1, cfg.filters, 1, 1)))
-        out, cache = conv2d_forward(x, w, b, cfg)
-        r = _probe(rng, out.dims)
+    for make_input, dims, spec, probe in CASES[kind]:
+        x = Tensor4(make_input(rng, dims))
+        layer = realize(spec, dims[1:])
+        params = {name: Tensor4(rng.standard_normal(d)) for name, d in layer.param_shapes.items()}
+        node = trainer.LayerNode(spec, layer.cfg, params)
+        replay = copy.deepcopy(rng)
+        out, cache = forward(node, x, Mode.TRAIN, rng)
+        probe_loss, grad_out = probe(rng, out)
 
         def loss() -> float:
-            o, _ = conv2d_forward(x, w, b, cfg)
-            return float((o.data * r).sum())
+            return probe_loss(forward(node, x, Mode.TRAIN, copy.deepcopy(replay))[0])
 
-        gx, gw, gb = conv2d_backward(cache, Tensor4(r))
-        for got, arr in ((gx, x), (gw, w), (gb, b)):
-            worst = max(worst, max_rel_error(got.data, numerical_grad(loss, arr.data)))
+        gx, grads = backward(cache, grad_out)
+        pairs = [(gx.data, x.data)] + [(grads[k].data, p.data) for k, p in params.items()]
+        worst = max(worst, _worst(loss, pairs))
     return worst
-
-
-def check_relu(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    x_data = rng.standard_normal((2, 3, 5, 5))
-    # keep every element away from the kink at 0
-    x_data += np.sign(x_data) * 0.1
-    x = Tensor4(x_data)
-    out, cache = relu_forward(x)
-    r = _probe(rng, out.dims)
-
-    def loss() -> float:
-        o, _ = relu_forward(x)
-        return float((o.data * r).sum())
-
-    gx = relu_backward(cache, Tensor4(r))
-    return max_rel_error(gx.data, numerical_grad(loss, x.data))
-
-
-def check_maxpool(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    # non-overlapping and overlapping window geometries
-    for dims, k, s in (((2, 3, 6, 6), 2, 2), ((2, 2, 7, 7), 3, 2)):
-        # distinct values with gaps far above eps, so no argmax flips
-        vals = rng.permutation(np.prod(dims)).astype(np.float64) * 0.01
-        x = Tensor4(vals.reshape(dims))
-        out, cache = maxpool_forward(x, k, s)
-        r = _probe(rng, out.dims)
-
-        def loss() -> float:
-            o, _ = maxpool_forward(x, k, s)
-            return float((o.data * r).sum())
-
-        gx = maxpool_backward(cache, Tensor4(r))
-        worst = max(worst, max_rel_error(gx.data, numerical_grad(loss, x.data)))
-    return worst
-
-
-def check_lrn(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = LrnConfig(k=2.0, n=5, alpha=0.05, beta=0.75)
-    x = Tensor4(rng.standard_normal((2, 6, 4, 4)))
-    out, cache = lrn_forward(x, cfg)
-    r = _probe(rng, out.dims)
-
-    def loss() -> float:
-        o, _ = lrn_forward(x, cfg)
-        return float((o.data * r).sum())
-
-    gx = lrn_backward(cache, Tensor4(r))
-    return max_rel_error(gx.data, numerical_grad(loss, x.data))
-
-
-def check_dropout(seed: int = 0) -> float:
-    """Backward against a fixed mask: the differentiable map is x * mask."""
-    rng = np.random.default_rng(seed)
-    x = Tensor4(rng.standard_normal((2, 3, 5, 5)))
-    mask = rng.random(x.dims) >= DropoutConfig(0.5).p
-    r = _probe(rng, x.dims)
-
-    def loss() -> float:
-        return float((x.data * mask * r).sum())
-
-    gx = dropout_backward(mask, Tensor4(r))
-    return max_rel_error(gx.data, numerical_grad(loss, x.data))
-
-
-def check_fc(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    x = Tensor4(rng.standard_normal((2, 3, 4, 4)))
-    w = Tensor4(rng.standard_normal((5, 48, 1, 1)))
-    b = Tensor4(rng.standard_normal((1, 5, 1, 1)))
-    out, cache = fc_forward(x, w, b)
-    r = _probe(rng, out.dims)
-
-    def loss() -> float:
-        o, _ = fc_forward(x, w, b)
-        return float((o.data * r).sum())
-
-    gx, gw, gb = fc_backward(cache, Tensor4(r))
-    worst = 0.0
-    for got, arr in ((gx, x), (gw, w), (gb, b)):
-        worst = max(worst, max_rel_error(got.data, numerical_grad(loss, arr.data)))
-    return worst
-
-
-def check_softmax(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    logits = Tensor4(rng.standard_normal((4, 7, 1, 1)))
-    labels = rng.integers(0, 7, size=4)
-
-    def loss() -> float:
-        l, _, _ = softmax_cross_entropy(logits, labels)
-        return l
-
-    _, _, grad = softmax_cross_entropy(logits, labels)
-    return max_rel_error(grad.data, numerical_grad(loss, logits.data))
 
 
 TINY_ARCH = "IMG-(Conv2-ReLU-MaxPool)-(FC4-ReLU-FC3)-Softmax"
@@ -210,30 +149,19 @@ def check_network(seed: int = 0) -> float:
     _, _, grad_logits = softmax_cross_entropy(logits, labels)
     grads = net.backward(grad_logits)
 
-    worst = 0.0
-    for key, p in net.param_dict().items():
-        worst = max(worst, max_rel_error(grads[key].data, numerical_grad(loss, p.data)))
-    worst = max(worst, max_rel_error(net._grad_input.data, numerical_grad(loss, x.data)))
-    return worst
+    pairs = [(grads[key].data, p.data) for key, p in net.param_dict().items()]
+    return _worst(loss, pairs + [(net._grad_input.data, x.data)])
 
 
-_CHECKS = {
-    "conv": check_conv,
-    "relu": check_relu,
-    "maxpool": check_maxpool,
-    "lrn": check_lrn,
-    "dropout": check_dropout,
-    "fc": check_fc,
-    "softmax": check_softmax,
-    "network": check_network,
-}
+LAYER_KINDS = (*trainer.DISPATCH, "network")
 
 
 def run_checks(only: str | None = None, seed: int = 0) -> dict[str, float]:
     """Run one or all finite-difference suites; returns kind -> max
     relative error."""
-    if only is not None:
-        if only not in _CHECKS:
-            raise ValueError(f"unknown check {only!r}; expected one of {LAYER_KINDS}")
-        return {only: _CHECKS[only](seed)}
-    return {kind: fn(seed) for kind, fn in _CHECKS.items()}
+    if only is not None and only not in LAYER_KINDS:
+        raise ValueError(f"unknown check {only!r}; expected one of {LAYER_KINDS}")
+    results = {kind: check_layer(kind, seed) for kind in trainer.DISPATCH if only in (None, kind)}
+    if only in (None, "network"):
+        results["network"] = check_network(seed)
+    return results

@@ -3,7 +3,8 @@
 Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
 upstream gradient into input/parameter gradients. Shapes follow NCHW
-throughout.
+throughout. ``GEOMETRY`` holds each kind's ``realize``: its validated
+config, output dims and parameter shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -13,6 +14,7 @@ flooring away pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -92,6 +94,76 @@ def conv_out_dim(size: int, kernel: int, stride: int, pad: int, what: str = "con
             f"{what}: ({size} + 2*{pad} - {kernel}) not a non-negative multiple of stride {stride}"
         )
     return span // stride + 1
+
+
+# ---------------------------------------------------------------------------
+# geometry: one realize function per layer kind
+
+class Realized(NamedTuple):
+    cfg: object  # ConvConfig / LrnConfig / DropoutConfig / (k, stride) / None
+    out_dims: tuple[int, int, int]
+    param_shapes: dict  # name -> dims, in the order the weights are drawn
+
+    @property
+    def param_count(self) -> int:
+        return sum(math.prod(dims) for dims in self.param_shapes.values())
+
+
+def _dense_params(count: int, fan_dims: tuple) -> dict:
+    """Weights (count, *fan_dims) and a (1, count, 1, 1) bias."""
+    return {"w": (count, *fan_dims), "b": (1, count, 1, 1)}
+
+
+def _realize_conv(spec, dims, dropout_p) -> Realized:
+    c, h, w = dims
+    k = spec.opts.get("k", DEFAULT_CONV_KERNEL[0])
+    cfg = ConvConfig(spec.count, (k, k), spec.opts.get("s", DEFAULT_CONV_STRIDE),
+                     spec.opts.get("p", DEFAULT_CONV_PAD))
+    out = (spec.count, conv_out_dim(h, k, cfg.stride, cfg.pad),
+           conv_out_dim(w, k, cfg.stride, cfg.pad))
+    return Realized(cfg, out, _dense_params(spec.count, (c, k, k)))
+
+
+def _realize_maxpool(spec, dims, dropout_p) -> Realized:
+    c, h, w = dims
+    k, s = spec.opts.get("k", DEFAULT_POOL_KERNEL), spec.opts.get("s", DEFAULT_POOL_STRIDE)
+    if k < 1 or s < 1:
+        raise ValueError(f"pool kernel/stride must be >= 1, got k={k} s={s}")
+    out = (c, conv_out_dim(h, k, s, 0, "maxpool"), conv_out_dim(w, k, s, 0, "maxpool"))
+    return Realized((k, s), out, {})
+
+
+def _realize_fc(spec, dims, dropout_p) -> Realized:
+    return Realized(None, (spec.count, 1, 1), _dense_params(spec.count, (math.prod(dims), 1, 1)))
+
+
+def _realize_softmax(spec, dims, dropout_p) -> Realized:
+    c, h, w = dims
+    if (h, w) != (1, 1):
+        raise ShapeError(f"Softmax needs (C,1,1) input, got ({c},{h},{w})")
+    return Realized(None, dims, {})
+
+
+#: kind -> realize(spec, in_dims, dropout_p) -> Realized
+GEOMETRY = {
+    "conv": _realize_conv,
+    "relu": lambda spec, dims, dropout_p: Realized(None, dims, {}),
+    "maxpool": _realize_maxpool,
+    "lrn": lambda spec, dims, dropout_p: Realized(LrnConfig(**spec.opts), dims, {}),
+    "dropout": lambda spec, dims, dropout_p: Realized(
+        DropoutConfig(spec.opts.get("p", dropout_p)), dims, {}),
+    "fc": _realize_fc,
+    "softmax": _realize_softmax,
+}
+
+
+def realize(spec, in_dims: tuple[int, int, int],
+            dropout_p: float = DEFAULT_DROPOUT_P) -> Realized:
+    """Validated config, (C, H, W) output dims and parameter shapes of one
+    parsed layer (an archdsl.LayerSpec) on ``in_dims`` input. ``dropout_p``
+    is the drop probability of a Dropout without a ``p`` override. Bad
+    geometry raises ShapeError, bad option values ValueError."""
+    return GEOMETRY[spec.kind](spec, tuple(in_dims), dropout_p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +434,3 @@ def softmax_cross_entropy(logits: Tensor4, labels) -> tuple[float, Tensor4, Tens
         Tensor4(probs.reshape(n, ncls, 1, 1).astype(dtype)),
         Tensor4(grad.reshape(n, ncls, 1, 1).astype(dtype)),
     )
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch, used by the gradient-check harness
-
-def layer_backward(kind: str, cache, grad_out: Tensor4):
-    """Dispatch backward by layer kind. Parameterized kinds return a tuple
-    (grad_input, grad_weights, grad_bias); the rest return grad_input."""
-    if cache is None:
-        raise StateError(f"{kind} backward called without cached forward state")
-    if kind == "conv":
-        return conv2d_backward(cache, grad_out)
-    if kind == "relu":
-        return relu_backward(cache, grad_out)
-    if kind == "maxpool":
-        return maxpool_backward(cache, grad_out)
-    if kind == "lrn":
-        return lrn_backward(cache, grad_out)
-    if kind == "dropout":
-        return dropout_backward(cache, grad_out)
-    if kind == "fc":
-        return fc_backward(cache, grad_out)
-    raise ValueError(f"unknown layer kind {kind!r}")

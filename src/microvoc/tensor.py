@@ -46,20 +46,6 @@ class Tensor4:
     def dtype(self):
         return self.data.dtype
 
-    def _check_index(self, i: int, j: int, y: int, x: int) -> None:
-        n, c, h, w = self.data.shape
-        for name, idx, bound in (("i", i, n), ("j", j, c), ("y", y, h), ("x", x, w)):
-            if not 0 <= idx < bound:
-                raise IndexError(f"index {name}={idx} out of range [0, {bound})")
-
-    def get(self, i: int, j: int, y: int, x: int) -> float:
-        self._check_index(i, j, y, x)
-        return float(self.data[i, j, y, x])
-
-    def set(self, i: int, j: int, y: int, x: int, v: float) -> None:
-        self._check_index(i, j, y, x)
-        self.data[i, j, y, x] = v
-
     def copy(self) -> "Tensor4":
         return Tensor4(self.data.copy())
 
@@ -75,20 +61,3 @@ class Tensor4:
 
     def __repr__(self) -> str:
         return f"Tensor4(dims={self.dims}, dtype={self.data.dtype})"
-
-
-def zeros_like(t: Tensor4) -> Tensor4:
-    return Tensor4(np.zeros_like(t.data))
-
-
-def axpy_scale(a: float, x: Tensor4, y: Tensor4) -> Tensor4:
-    """Elementwise ``a*x + y``; x and y must share dims."""
-    if x.dims != y.dims:
-        raise ShapeError(f"dims mismatch: {x.dims} vs {y.dims}")
-    return Tensor4(a * x.data + y.data)
-
-
-def sq_l2(t: Tensor4) -> float:
-    """Squared L2 norm, sum of squared elements."""
-    d = t.data.ravel()
-    return float(np.dot(d, d))

@@ -1,4 +1,5 @@
-"""Network assembly, the training loop, evaluation and checkpoints.
+"""Network assembly, the per-kind forward/backward dispatch table, the
+training loop, evaluation and checkpoints.
 
 All randomness is derived from the run seed through fixed stream tags,
 so a (config, dataset, seed) triple fully determines the history and the
@@ -8,8 +9,10 @@ evaluation boundary continues bit-identically.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -21,9 +24,7 @@ from .augment import Dataset, Sample, augment_train_split
 from .errors import CheckpointError, ShapeError, StateError, VersionError
 from .initializers import InitSpec, init_weights, zero_init
 from .layers import (
-    ConvConfig,
-    DropoutConfig,
-    LrnConfig,
+    DEFAULT_DROPOUT_P,
     Mode,
     conv2d_backward,
     conv2d_forward,
@@ -35,6 +36,7 @@ from .layers import (
     lrn_forward,
     maxpool_backward,
     maxpool_forward,
+    realize,
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
@@ -52,16 +54,46 @@ _STREAM_FREE = 0x44  # standalone forwards outside the training loop
 @dataclass
 class LayerNode:
     spec: LayerSpec
-    cfg: object = None  # realized ConvConfig / LrnConfig / DropoutConfig / (k, s) tuple
+    cfg: object = None  # layers.realize's config for this kind
     params: dict[str, Tensor4] = field(default_factory=dict)
     grads: dict[str, Tensor4] = field(default_factory=dict)
-    frozen: bool = False
+    frozen: bool = False  # frozen layers still get gradients; the optimizer drops them
     cache: object = None
 
-    @property
-    def grads_discarded(self) -> bool:
-        """Frozen layers still get gradients computed; the optimizer drops them."""
-        return self.frozen
+
+def _conv_forward(node, x, mode, rng):
+    return conv2d_forward(x, node.params["w"], node.params["b"], node.cfg)
+
+
+def _fc_forward(node, x, mode, rng):
+    return fc_forward(x, node.params["w"], node.params["b"])
+
+
+def _named(grads):
+    """(grad_input, grad_w, grad_b) -> (grad_input, {"w": grad_w, "b": grad_b})"""
+    g, gw, gb = grads
+    return g, {"w": gw, "b": gb}
+
+
+#: kind -> (forward(node, x, mode, rng) -> (output, cache),
+#:          backward(cache, grad_out) -> (grad_input, {param name: grad})).
+#: The adapters look the kernels up by their names in this module at call
+#: time, so a wrapper installed on ``trainer.<kernel>`` sees every call.
+DISPATCH = {
+    "conv": (_conv_forward, lambda cache, g: _named(conv2d_backward(cache, g))),
+    "relu": (lambda node, x, mode, rng: relu_forward(x),
+             lambda cache, g: (relu_backward(cache, g), {})),
+    "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
+                lambda cache, g: (maxpool_backward(cache, g), {})),
+    "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg),
+            lambda cache, g: (lrn_backward(cache, g), {})),
+    "dropout": (lambda node, x, mode, rng: dropout_apply(x, node.cfg, mode, rng),
+                lambda cache, g: (dropout_backward(cache, g), {})),
+    "fc": (_fc_forward, lambda cache, g: _named(fc_backward(cache, g))),
+    # a marker: the loss applies the softmax, and its gradient is already
+    # with respect to the logits
+    "softmax": (lambda node, x, mode, rng: (x, ()), lambda cache, g: (g, {})),
+}
 
 
 class Network:
@@ -97,22 +129,7 @@ class Network:
             rng = self.rng
         x = batch if batch.dtype == self.dtype else batch.astype(self.dtype)
         for node in self.nodes:
-            kind = node.spec.kind
-            if kind == "conv":
-                x, cache = conv2d_forward(x, node.params["w"], node.params["b"], node.cfg)
-            elif kind == "relu":
-                x, cache = relu_forward(x)
-            elif kind == "maxpool":
-                k, s = node.cfg
-                x, cache = maxpool_forward(x, k, s)
-            elif kind == "lrn":
-                x, cache = lrn_forward(x, node.cfg)
-            elif kind == "dropout":
-                x, cache = dropout_apply(x, node.cfg, mode, rng if mode is Mode.TRAIN else None)
-            elif kind == "fc":
-                x, cache = fc_forward(x, node.params["w"], node.params["b"])
-            else:  # softmax marker: the loss handles the actual softmax
-                cache = None
+            x, cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
             node.cache = cache if mode is Mode.TRAIN else None
         return x
 
@@ -125,25 +142,9 @@ class Network:
         g = grad_logits
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]
-            kind = node.spec.kind
-            if kind == "softmax":
-                continue  # loss gradient is already w.r.t. logits
             if node.cache is None:
-                raise StateError(f"layer {i} ({kind}) has no cached forward state")
-            if kind == "conv":
-                g, gw, gb = conv2d_backward(node.cache, g)
-                node.grads = {"w": gw, "b": gb}
-            elif kind == "relu":
-                g = relu_backward(node.cache, g)
-            elif kind == "maxpool":
-                g = maxpool_backward(node.cache, g)
-            elif kind == "lrn":
-                g = lrn_backward(node.cache, g)
-            elif kind == "dropout":
-                g = dropout_backward(node.cache, g)
-            else:
-                g, gw, gb = fc_backward(node.cache, g)
-                node.grads = {"w": gw, "b": gb}
+                raise StateError(f"layer {i} ({node.spec.kind}) has no cached forward state")
+            g, node.grads = DISPATCH[node.spec.kind][1](node.cache, g)
             for name, gt in node.grads.items():
                 grads[f"{i}.{name}"] = gt
             node.cache = None
@@ -168,43 +169,30 @@ def build(spec: NetworkSpec | str, *, seed: int = 0,
         spec = archdsl.parse(archdsl.resolve_arch(spec),
                              input_dims or (3, 128, 128))
     rng = np.random.default_rng([seed, _STREAM_INIT])
-    if dropout_p is None:
-        dropout_p = DropoutConfig().p
-    c, h, w = spec.input_dims
+    init = {"conv": init_conv, "fc": init_fc}
+    dims = spec.input_dims
     nodes: list[LayerNode] = []
-    for ls, (oc, oh, ow) in zip(spec.layers, spec.shapes):
-        node = LayerNode(spec=ls)
-        if ls.kind == "conv":
-            kernel, stride, pad = archdsl.conv_geometry(ls)
-            node.cfg = ConvConfig(ls.count, kernel, stride, pad)
-            kh, kw = kernel
-            fan_in, fan_out = c * kh * kw, ls.count * kh * kw
-            node.params = {
-                "w": init_weights(init_conv, fan_in, fan_out,
-                                  (ls.count, c, kh, kw), rng, dtype=dtype),
-                "b": zero_init((1, ls.count, 1, 1), dtype=dtype),
-            }
-        elif ls.kind == "maxpool":
-            node.cfg = archdsl.pool_geometry(ls)
-        elif ls.kind == "lrn":
-            node.cfg = LrnConfig(
-                k=ls.opts.get("k", LrnConfig().k),
-                n=ls.opts.get("n", LrnConfig().n),
-                alpha=ls.opts.get("alpha", LrnConfig().alpha),
-                beta=ls.opts.get("beta", LrnConfig().beta),
-            )
-        elif ls.kind == "dropout":
-            node.cfg = DropoutConfig(ls.opts.get("p", dropout_p))
-        elif ls.kind == "fc":
-            fan_in = c * h * w
-            node.params = {
-                "w": init_weights(init_fc, fan_in, ls.count,
-                                  (ls.count, fan_in, 1, 1), rng, dtype=dtype),
-                "b": zero_init((1, ls.count, 1, 1), dtype=dtype),
-            }
-        nodes.append(node)
-        c, h, w = oc, oh, ow
+    for ls in spec.layers:
+        layer = realize(ls, dims, DEFAULT_DROPOUT_P if dropout_p is None else dropout_p)
+        params = _init_params(layer.param_shapes, init.get(ls.kind), rng, dtype)
+        nodes.append(LayerNode(spec=ls, cfg=layer.cfg, params=params))
+        dims = layer.out_dims
     return Network(spec, nodes, seed, dtype)
+
+
+def _init_params(shapes: dict, init: InitSpec, rng: np.random.Generator,
+                 dtype) -> dict[str, Tensor4]:
+    """Weights "w" drawn per ``init`` with fans from their (out, in, kh, kw)
+    shape, fan_in = in*kh*kw and fan_out = out*kh*kw; biases "b" zero."""
+    params = {}
+    for name, dims in shapes.items():
+        if name == "b":
+            params[name] = zero_init(dims, dtype=dtype)
+        else:
+            area = dims[2] * dims[3]
+            params[name] = init_weights(init, dims[1] * area, dims[0] * area, dims, rng,
+                                        dtype=dtype)
+    return params
 
 
 def freeze(net: Network, predicate) -> Network:
@@ -221,16 +209,9 @@ def reinitialize(net: Network, kinds: tuple[str, ...] = ("fc",),
     ``init``, biases zero); the usual transfer-learning head reset."""
     rng = np.random.default_rng([seed, _STREAM_INIT, 1])
     for node in net.nodes:
-        if node.spec.kind not in kinds or not node.params:
-            continue
-        w = node.params["w"]
-        if node.spec.kind == "conv":
-            f, c, kh, kw = w.dims
-            fans = (c * kh * kw, f * kh * kw)
-        else:
-            fans = (w.dims[1], w.dims[0])
-        node.params["w"] = init_weights(init, fans[0], fans[1], w.dims, rng, dtype=net.dtype)
-        node.params["b"] = zero_init(node.params["b"].dims, dtype=net.dtype)
+        if node.spec.kind in kinds:
+            shapes = {name: p.dims for name, p in node.params.items()}
+            node.params = _init_params(shapes, init, rng, net.dtype)
     return net
 
 
@@ -476,6 +457,21 @@ class _Reader:
         return Tensor4(data.astype(dtype))
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temp file beside ``path`` that replaces it once written, so
+    a save that fails partway leaves the previous file and no temp file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
                     iteration: int = 0, alpha: float | None = None,
                     scheduler: PlateauScheduler | None = None,
@@ -500,7 +496,7 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
     names = class_names or []
     means = channel_means if channel_means is not None else np.zeros(3)
 
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, flags))
         fh.write(struct.pack("<I", len(arch)))

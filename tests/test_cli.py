@@ -6,6 +6,7 @@ import pytest
 from microvoc.cli import RunConfig, main, parse_run_config, to_train_config
 from microvoc.dataio import MANIFEST_HEADER, write_ppm
 from microvoc.errors import ConfigError
+from microvoc.trainer import load_checkpoint
 
 TINY_ARCH = "IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-FC2)-Softmax"
 
@@ -209,6 +210,16 @@ class TestTrainEvalPredict:
         full_rows = (tmp_path / "full" / "history.csv").read_text().splitlines()
         rest_rows = (tmp_path / "rest" / "history.csv").read_text().splitlines()
         assert rest_rows[1] == full_rows[2]  # the iteration-20 row matches
+
+    def test_final_checkpoint_keeps_adam_state_without_evaluation(
+            self, tmp_path, dataset_dir, capsys):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           max_iterations=5, eval_every=10)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ck = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert ck.iteration == 5
+        assert ck.adam_state is not None and ck.adam_state.t == 5
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

@@ -3,7 +3,8 @@ central finite differences in double precision."""
 
 import pytest
 
-from microvoc import gradcheck
+from microvoc import archdsl, gradcheck, trainer
+from microvoc.layers import GEOMETRY
 
 
 @pytest.mark.parametrize("kind", ["conv", "relu", "maxpool", "lrn", "dropout",
@@ -30,3 +31,8 @@ def test_rel_error_definition():
     b = np.array([1.0 + 1e-6, 0.0])
     err = gradcheck.max_rel_error(a, b)
     assert abs(err - 1e-6 / (2 + 1e-6)) < 1e-12
+
+
+def test_every_kind_has_geometry_dispatch_and_gradcheck_case():
+    assert set(GEOMETRY) == set(trainer.DISPATCH) == set(gradcheck.CASES) == set(archdsl.KINDS)
+    assert gradcheck.LAYER_KINDS == (*archdsl.KINDS, "network")

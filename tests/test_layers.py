@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from microvoc.archdsl import parse
 from microvoc.errors import ShapeError, StateError
 from microvoc.layers import (
     ConvConfig,
@@ -13,13 +14,13 @@ from microvoc.layers import (
     dropout_apply,
     dropout_backward,
     fc_forward,
-    layer_backward,
     lrn_forward,
     maxpool_forward,
     relu_forward,
     softmax_cross_entropy,
 )
 from microvoc.tensor import Tensor4
+from microvoc.trainer import DISPATCH, build
 
 
 def t4(values, dims):
@@ -267,16 +268,19 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestLayerBackwardDispatch:
+    """The backward adapters of the trainer's kind table."""
+
     def test_relu_gates_gradient(self):
         x = t4([-1.0, 2.0], (1, 1, 1, 2))
         _, cache = relu_forward(x)
-        gx = layer_backward("relu", cache, t4([5.0, 5.0], (1, 1, 1, 2)))
+        gx, grads = DISPATCH["relu"][1](cache, t4([5.0, 5.0], (1, 1, 1, 2)))
         assert np.array_equal(gx.data.ravel(), [0, 5])
+        assert grads == {}
 
     def test_maxpool_routes_to_argmax(self):
         x = t4([1, 2, 3, 4], (1, 1, 2, 2))
         _, cache = maxpool_forward(x, 2, 2)
-        gx = layer_backward("maxpool", cache, t4([7.0], (1, 1, 1, 1)))
+        gx, _ = DISPATCH["maxpool"][1](cache, t4([7.0], (1, 1, 1, 1)))
         assert np.array_equal(gx.data.reshape(2, 2), [[0, 0], [0, 7]])
 
     def test_dropout_backward_uses_mask(self):
@@ -285,15 +289,17 @@ class TestLayerBackwardDispatch:
         assert np.array_equal(gx.data.ravel(), [3, 0])
 
     def test_missing_cache_raises(self):
-        with pytest.raises(StateError):
-            layer_backward("conv", None, Tensor4.new((1, 1, 1, 1), 0.0))
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            layer_backward("pool", (), Tensor4.new((1, 1, 1, 1), 0.0))
+        for kind in ("conv", "relu", "maxpool", "lrn", "dropout", "fc"):
+            with pytest.raises(StateError):
+                DISPATCH[kind][1](None, Tensor4.new((1, 1, 1, 1), 0.0))
+        net = build(parse("IMG-Conv2-ReLU-FC2-Softmax", (1, 4, 4)))
+        net.forward(Tensor4.new((1, 1, 4, 4), 1.0), Mode.TRAIN)
+        net.nodes[1].cache = None
+        with pytest.raises(StateError, match="layer 1"):
+            net.backward(Tensor4.new((1, 2, 1, 1), 1.0))
 
     def test_shape_mismatch_raises(self):
         x = Tensor4.new((1, 1, 2, 2), 1.0)
         _, cache = relu_forward(x)
         with pytest.raises(ShapeError):
-            layer_backward("relu", cache, Tensor4.new((1, 1, 2, 3), 0.0))
+            DISPATCH["relu"][1](cache, Tensor4.new((1, 1, 2, 3), 0.0))

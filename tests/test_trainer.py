@@ -11,7 +11,7 @@ from microvoc.errors import CheckpointError, StateError, VersionError
 from microvoc.initializers import InitSpec
 from microvoc.layers import Mode, softmax_cross_entropy
 from microvoc.optim import AdamState, PlateauScheduler, SchedulerConfig
-from microvoc.tensor import Tensor4, sq_l2
+from microvoc.tensor import Tensor4
 from microvoc.trainer import (
     TrainConfig,
     build,
@@ -47,7 +47,7 @@ class TestBuild:
         net = small_net()
         for key, p in net.param_dict().items():
             if key.endswith(".b"):
-                assert sq_l2(p) == 0.0
+                assert not p.data.any()
 
     def test_initial_loss_near_uniform(self):
         # small-magnitude init keeps logits near zero, so loss ~ ln(C)
@@ -125,7 +125,7 @@ class TestBackward:
         net.backward(Tensor4(np.ones(logits.dims)))
         with_params = [n for n in net.nodes if n.params]
         assert with_params
-        assert all(n.grads_discarded for n in with_params)
+        assert all(n.frozen for n in with_params)
         assert all(n.grads for n in with_params)  # still computed
 
 
@@ -344,6 +344,25 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        from microvoc import trainer
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, small_net(seed=20))
+        before = path.read_bytes()
+        write_tensor, written = trainer._write_tensor, []
+
+        def fail_on_third(fh, t):
+            written.append(t)
+            if len(written) == 3:
+                raise OSError("disk full")
+            write_tensor(fh, t)
+
+        monkeypatch.setattr(trainer, "_write_tensor", fail_on_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, small_net(seed=21))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
 
 class TestResume:
