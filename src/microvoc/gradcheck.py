@@ -83,9 +83,10 @@ def _xent_probe(rng, out):
 #: kind -> cases of (input maker, input dims, layer, probe); every
 #: parameter is drawn standard normal after the input
 CASES = {
-    "conv": [  # shape-preserving and strided geometries
+    "conv": [  # shape-preserving, strided and non-square strided geometries
         (_normal, (2, 3, 5, 5), LayerSpec("conv", 4, {"k": 3, "s": 1, "p": 1}), _random_probe),
         (_normal, (2, 2, 6, 6), LayerSpec("conv", 3, {"k": 2, "s": 2, "p": 0}), _random_probe),
+        (_normal, (2, 2, 7, 10), LayerSpec("conv", 3, {"k": 3, "s": 3, "p": 1}), _random_probe),
     ],
     "relu": [(_off_kink, (2, 3, 5, 5), LayerSpec("relu"), _random_probe)],
     "maxpool": [  # non-overlapping and overlapping windows

@@ -2,9 +2,13 @@
 
 Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
-upstream gradient into input/parameter gradients. Shapes follow NCHW
-throughout. ``GEOMETRY`` holds each kind's ``realize``: its validated
-config, output dims and parameter shapes for a given input.
+upstream gradient into input/parameter gradients. Every kernel takes and
+returns NCHW tensors. Inside, conv works on the zero-padded input laid out
+as an NHWC row grid, one row of C channels per position, where each kernel
+tap is one GEMM on a contiguous row slice; max pooling takes a running
+maximum over the k*k strided views of its input. ``GEOMETRY`` holds each
+kind's ``realize``: its validated config, output dims and parameter
+shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -20,7 +24,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, StateError
 from .tensor import Tensor4
@@ -170,10 +173,30 @@ def realize(spec, in_dims: tuple[int, int, int],
 # convolution
 
 class ConvCache(NamedTuple):
-    x_padded: np.ndarray
+    x_grid: np.ndarray  # zero-padded input, NHWC (n, h + 2*pad, w + 2*pad, c)
     x_dims: tuple
-    weights: np.ndarray
+    weights: np.ndarray  # (f, c, kh, kw), in the input's dtype
     cfg: ConvConfig
+
+
+def _tap_offsets(kh: int, kw: int, grid_w: int) -> list[int]:
+    """Row offset of kernel tap (u, v) on a row grid grid_w wide, row-major."""
+    return [u * grid_w + v for u in range(kh) for v in range(kw)]
+
+
+def _shifted_gemms(rows: np.ndarray, mats: np.ndarray, offsets: list[int],
+                   length: int, total: int) -> np.ndarray:
+    """acc[r] = sum_t rows[r + offsets[t]] @ mats[t] for r < length, summed
+    in tap order; each term is one GEMM on a contiguous row slice. The
+    result has ``total`` rows; rows from ``length`` on are left unset."""
+    acc = np.empty((total, mats.shape[2]), dtype=np.result_type(rows, mats))
+    head = acc[:length]
+    np.matmul(rows[offsets[0]:offsets[0] + length], mats[0], out=head)
+    term = np.empty_like(head)
+    for off, mat in zip(offsets[1:], mats[1:]):
+        np.matmul(rows[off:off + length], mat, out=term)
+        head += term
+    return acc
 
 
 def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
@@ -181,6 +204,11 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
     """Cross-correlate x (n,c,h,w) with weights (f,c,kh,kw) plus bias (1,f,1,1).
 
     out[i,f,y,x] = bias[f] + sum_{j,u,v} x_pad[i,j,y*s+u,x*s+v] * w[f,j,u,v]
+
+    The padded input is laid out as NHWC rows, one per grid position, so
+    tap (u, v) reads the rows u*Wp + v further on: the stride-1 result on
+    the whole grid is kh*kw shifted GEMMs, of which the output keeps every
+    s-th valid position.
     """
     n, c, h, w = x.dims
     f, wc, kh, kw = weights.dims
@@ -193,24 +221,35 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
     s, p = cfg.stride, cfg.pad
     ho = conv_out_dim(h, kh, s, p)
     wo = conv_out_dim(w, kw, s, p)
+    hp, wp = h + 2 * p, w + 2 * p
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    out = np.zeros((n, f, ho, wo), dtype=x.data.dtype)
-    wd = weights.data.astype(x.data.dtype, copy=False)
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[:, :, u:u + s * ho:s, v:v + s * wo:s]  # (n,c,ho,wo)
-            # contract channel axis against the (f,c) slice of the kernel
-            out += np.tensordot(patch, wd[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
-    out += bias.data.astype(x.data.dtype, copy=False).reshape(1, f, 1, 1)
-    return Tensor4(out), ConvCache(xp, x.dims, wd, cfg)
+    dtype = x.data.dtype
+    grid = np.zeros((n, hp, wp, c), dtype=dtype)
+    grid[:, p:p + h, p:p + w] = x.data.transpose(0, 2, 3, 1)
+    wd = weights.data.astype(dtype, copy=False)
+    taps = _tap_offsets(kh, kw, wp)
+    rows = n * hp * wp
+    acc = _shifted_gemms(grid.reshape(rows, c), wd.transpose(2, 3, 1, 0).reshape(kh * kw, c, f),
+                         taps, rows - taps[-1], rows)
+    valid = acc.reshape(n, hp, wp, f)[:, :s * ho:s, :s * wo:s].transpose(0, 3, 1, 2)
+    out = np.empty((n, f, ho, wo), dtype=dtype)
+    np.add(valid, bias.data.astype(dtype, copy=False).reshape(1, f, 1, 1), out=out)
+    return Tensor4(out), ConvCache(grid, x.dims, wd, cfg)
 
 
 def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4, Tensor4, Tensor4]:
-    """Return (grad_input, grad_weights, grad_bias)."""
+    """Return (grad_input, grad_weights, grad_bias).
+
+    grad_x is the forward's shifted GEMMs run backwards: the gradient sits
+    on the padded grid (zero off the output positions, with (kh-1)*Wp +
+    kw-1 rows of zeros ahead of it), and tap (u, v) reads it u*Wp + v rows
+    back.
+    grad_w[:, :, u, v] is one (f x K)(K x c) GEMM over the K output
+    positions.
+    """
     if cache is None:
         raise StateError("conv backward called without cached forward state")
-    xp, x_dims, wd, cfg = cache
+    grid, x_dims, wd, cfg = cache
     n, c, h, w = x_dims
     f, _, kh, kw = wd.shape
     s, p = cfg.stride, cfg.pad
@@ -218,17 +257,25 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4, Tenso
     ho, wo = go.shape[2], go.shape[3]
     if go.shape != (n, f, ho, wo) or ho != conv_out_dim(h, kh, s, p) or wo != conv_out_dim(w, kw, s, p):
         raise ShapeError(f"grad_out dims {go.shape} do not match forward output")
+    hp, wp = grid.shape[1], grid.shape[2]
 
     grad_b = go.sum(axis=(0, 2, 3)).reshape(1, f, 1, 1)
-    grad_w = np.zeros_like(wd)
-    gxp = np.zeros_like(xp)
+    go_fk = go.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+    grad_w = np.empty_like(wd)
     for u in range(kh):
         for v in range(kw):
-            patch = xp[:, :, u:u + s * ho:s, v:v + s * wo:s]
-            grad_w[:, :, u, v] = np.tensordot(go, patch, axes=([0, 2, 3], [0, 2, 3]))
-            gp = np.tensordot(go, wd[:, :, u, v], axes=([1], [0])).transpose(0, 3, 1, 2)
-            gxp[:, :, u:u + s * ho:s, v:v + s * wo:s] += gp
-    gx = gxp[:, :, p:p + h, p:p + w] if p else gxp
+            patch = grid[:, u:u + s * ho:s, v:v + s * wo:s].reshape(n * ho * wo, c)
+            grad_w[:, :, u, v] = go_fk @ patch
+    del go_fk
+
+    taps = _tap_offsets(kh, kw, wp)
+    lead, rows = taps[-1], n * hp * wp
+    go_grid = np.zeros((lead + rows, f), dtype=grid.dtype)
+    go_grid[lead:].reshape(n, hp, wp, f)[:, :s * ho:s, :s * wo:s] = go.transpose(0, 2, 3, 1)
+    acc = _shifted_gemms(go_grid, wd.transpose(2, 3, 0, 1).reshape(kh * kw, f, c),
+                         [lead - t for t in taps], rows, rows)
+    del go_grid
+    gx = np.ascontiguousarray(acc.reshape(n, hp, wp, c)[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
     return Tensor4(gx), Tensor4(grad_w), Tensor4(grad_b)
 
 
@@ -252,42 +299,75 @@ def relu_backward(mask: np.ndarray, grad_out: Tensor4) -> Tensor4:
 # ---------------------------------------------------------------------------
 # max pooling
 
+def _pool_windows(a: np.ndarray, k: int, stride: int) -> list[np.ndarray]:
+    """The k*k strided views of a (n,c,h,w): entry u*k + v holds element
+    (u, v) of every window, shaped like the output."""
+    ho = conv_out_dim(a.shape[2], k, stride, 0, "maxpool")
+    wo = conv_out_dim(a.shape[3], k, stride, 0, "maxpool")
+    return [a[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            for u in range(k) for v in range(k)]
+
+
+def _window_max(windows: list[np.ndarray]) -> np.ndarray:
+    out = windows[0].copy()
+    for view in windows[1:]:
+        np.maximum(view, out, out=out)  # on a tie of +0 and -0 keeps the earlier one
+    return out
+
+
 class PoolCache(NamedTuple):
-    argmax: np.ndarray  # flat input offsets, shape (n,c,ho,wo)
-    x_dims: tuple
+    x: np.ndarray  # the forward input
     k: int
     stride: int
+
+    @property
+    def x_dims(self) -> tuple:
+        return self.x.shape
+
+    @property
+    def out_dims(self) -> tuple:
+        return _pool_windows(self.x, self.k, self.stride)[0].shape
+
+    @property
+    def argmax(self) -> np.ndarray:
+        """Flat input offset of each window's first (row-major) maximizer,
+        shape (n,c,ho,wo); a NaN counts as the maximum, as in np.argmax.
+        Computed from the input on each access: only backward needs it."""
+        n, c, h, w = self.x.shape
+        k, s = self.k, self.stride
+        windows = _pool_windows(self.x, k, s)
+        out = _window_max(windows)
+        ho, wo = out.shape[2:]
+        # offset of each window's element (0, 0), then moved to its maximizer
+        offsets = (np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+                   + np.arange(0, s * ho * w, s * w).reshape(ho, 1) + np.arange(0, s * wo, s))
+        unrouted = np.ones(out.shape, dtype=bool)
+        for t, view in enumerate(windows):
+            hit = view == out
+            hit |= np.isnan(view)
+            hit &= unrouted
+            unrouted ^= hit
+            if t:
+                offsets += hit * ((t // k) * w + t % k)
+        return offsets
 
 
 def maxpool_forward(x: Tensor4, k: int = DEFAULT_POOL_KERNEL,
                     stride: int = DEFAULT_POOL_STRIDE) -> tuple[Tensor4, PoolCache]:
-    """Max over k*k windows; records the flat input offset of the first
-    (row-major within the window) maximizer for the backward pass."""
-    n, c, h, w = x.dims
-    ho = conv_out_dim(h, k, stride, 0, "maxpool")
-    wo = conv_out_dim(w, k, stride, 0, "maxpool")
-    windows = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = windows.reshape(n, c, ho, wo, k * k)
-    idx = flat.argmax(axis=-1)  # first occurrence of the max, row-major in window
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-    oy = np.arange(ho).reshape(1, 1, ho, 1) * stride + idx // k
-    ox = np.arange(wo).reshape(1, 1, 1, wo) * stride + idx % k
-    bi = np.arange(n).reshape(n, 1, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1, 1)
-    offsets = ((bi * c + ci) * h + oy) * w + ox
-    return Tensor4(np.ascontiguousarray(out)), PoolCache(offsets, x.dims, k, stride)
+    """Max over k*k windows, as a running np.maximum over the k*k strided
+    views (a NaN in a window gives a NaN). The cache keeps the input, from
+    which backward routes each gradient to the window's first maximizer."""
+    return Tensor4(_window_max(_pool_windows(x.data, k, stride))), PoolCache(x.data, k, stride)
 
 
 def maxpool_backward(cache: PoolCache, grad_out: Tensor4) -> Tensor4:
     if cache is None:
         raise StateError("maxpool backward called without cached forward state")
-    offsets, x_dims, _, _ = cache
-    if grad_out.dims != offsets.shape:
-        raise ShapeError(f"grad_out dims {grad_out.dims} != forward output dims {offsets.shape}")
-    gx = np.zeros(int(np.prod(x_dims)), dtype=grad_out.data.dtype)
-    np.add.at(gx, offsets.ravel(), grad_out.data.ravel())
-    return Tensor4(gx.reshape(x_dims))
+    if grad_out.dims != cache.out_dims:
+        raise ShapeError(f"grad_out dims {grad_out.dims} != forward output dims {cache.out_dims}")
+    gx = np.zeros(cache.x.size, dtype=grad_out.data.dtype)
+    np.add.at(gx, cache.argmax.ravel(), grad_out.data.ravel())
+    return Tensor4(gx.reshape(cache.x_dims))
 
 
 # ---------------------------------------------------------------------------

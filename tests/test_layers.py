@@ -10,11 +10,13 @@ from microvoc.layers import (
     DropoutConfig,
     LrnConfig,
     Mode,
+    conv2d_backward,
     conv2d_forward,
     dropout_apply,
     dropout_backward,
     fc_forward,
     lrn_forward,
+    maxpool_backward,
     maxpool_forward,
     relu_forward,
     softmax_cross_entropy,
@@ -71,6 +73,60 @@ class TestConvForward:
         b = Tensor4.new((1, 4, 1, 1), 0.0)
         out, _ = conv2d_forward(x, w, b, ConvConfig(4))
         assert out.dims == (2, 4, 8, 8)
+
+
+def _conv_reference(x, w, b, stride, pad, g):
+    """Direct per-tap sums in float64: the conv output and the gradients
+    of sum(out * g) with respect to x, w and b."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = g.shape[2:]
+    out = np.zeros((n, f, ho, wo)) + b.reshape(1, f, 1, 1)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros((f, c, kh, kw))
+    for u in range(kh):
+        for v in range(kw):
+            patch = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            out += np.einsum("ncyx,fc->nfyx", patch, w[:, :, u, v])
+            gw[:, :, u, v] = np.einsum("nfyx,ncyx->fc", g, patch)
+            gxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += np.einsum(
+                "nfyx,fc->ncyx", g, w[:, :, u, v])
+    gx = gxp[:, :, pad:pad + h, pad:pad + wd]
+    return out, gx, gw, g.sum(axis=(0, 2, 3)).reshape(1, f, 1, 1)
+
+
+class TestConvGeometries:
+    """Output and all three gradients against direct per-tap sums, on
+    non-square inputs across kernel, stride, pad and dtype."""
+
+    @pytest.mark.parametrize("h, w, k, stride, pad, dtype", [
+        (5, 9, 1, 1, 0, np.float32),
+        (6, 11, 5, 1, 2, np.float64),
+        (9, 13, 3, 2, 0, np.float32),
+        (8, 14, 3, 3, 2, np.float64),
+        (7, 11, 5, 2, 2, np.float32),
+        (7, 10, 1, 3, 0, np.float64),
+        (6, 9, 3, 1, 0, np.float32),
+    ])
+    def test_matches_direct_sums(self, h, w, k, stride, pad, dtype):
+        rng = np.random.default_rng(h * 100 + w * 10 + k)
+        n, c, f = 2, 3, 4
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        wt = rng.standard_normal((f, c, k, k)).astype(dtype)
+        b = rng.standard_normal((1, f, 1, 1)).astype(dtype)
+        out, cache = conv2d_forward(Tensor4(x), Tensor4(wt), Tensor4(b),
+                                    ConvConfig(f, (k, k), stride, pad))
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        g = rng.standard_normal((n, f, ho, wo)).astype(dtype)
+        gx, gw, gb = conv2d_backward(cache, Tensor4(g))
+        ref = _conv_reference(x, wt, b, stride, pad, g)
+        tol = 1e-4 if dtype == np.float32 else 1e-11
+        for got, want in zip((out, gx, gw, gb), ref):
+            assert got.data.dtype == dtype
+            assert got.data.shape == want.shape
+            assert got.data.flags.c_contiguous
+            np.testing.assert_allclose(got.data, want, rtol=tol, atol=tol)
 
 
 class TestRelu:
@@ -130,6 +186,42 @@ class TestMaxPool:
     def test_non_integral_rejected(self):
         with pytest.raises(ShapeError):
             maxpool_forward(Tensor4.new((1, 1, 5, 5), 0.0), 2, 2)
+
+    def test_test_and_train_forwards_agree(self):
+        x = Tensor4(np.random.default_rng(8).standard_normal((2, 3, 7, 9)))
+        node = build(parse("IMG-MaxPool[k=3,s=2]-FC2-Softmax", (3, 7, 9))).nodes[0]
+        test_out, _ = DISPATCH["maxpool"][0](node, x, Mode.TEST, None)
+        train_out, _ = DISPATCH["maxpool"][0](node, x, Mode.TRAIN, None)
+        assert np.array_equal(test_out.data, train_out.data)
+
+    def test_overlapping_ties_route_to_first_maximizer(self):
+        # integer values give many ties; k3 s2 windows share rows and columns
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 3, size=(2, 2, 7, 9)).astype(np.float64)
+        out, cache = maxpool_forward(Tensor4(x), 3, 2)
+        g = rng.standard_normal(out.dims)
+        gx = maxpool_backward(cache, Tensor4(g))
+        want_gx = np.zeros(x.size)
+        for i in range(2):
+            for j in range(2):
+                for y in range(3):
+                    for xx in range(4):
+                        window = x[i, j, 2 * y:2 * y + 3, 2 * xx:2 * xx + 3]
+                        u, v = divmod(int(window.argmax()), 3)
+                        offset = ((i * 2 + j) * 7 + 2 * y + u) * 9 + 2 * xx + v
+                        assert out.data[i, j, y, xx] == window.max()
+                        assert cache.argmax[i, j, y, xx] == offset
+                        want_gx[offset] += g[i, j, y, xx]
+        assert np.array_equal(gx.data.ravel(), want_gx)
+
+    def test_nan_in_window_gives_nan(self):
+        x = t4(list(range(16)), (1, 1, 4, 4))
+        x.data[0, 0, 0, 1] = np.nan
+        x.data[0, 0, 1, 0] = np.nan
+        out, cache = maxpool_forward(x, 2, 2)
+        assert np.isnan(out.data[0, 0, 0, 0])
+        assert np.array_equal(out.data.ravel()[1:], [7, 13, 15])
+        assert cache.argmax[0, 0, 0, 0] == 1  # the first NaN, as np.argmax
 
 
 class TestLrn:
