@@ -7,6 +7,18 @@ The update uses the canonical bias-corrected efficient form:
     W <- W - alpha_t * m / (sqrt(v) + eps),   alpha_t = alpha * sqrt(1-b2^t) / (1-b1^t)
 
 with t incremented once per step before computing alpha_t.
+
+Both ``adam_step`` and the gradient half of ``apply_l2`` walk each
+tensor's flat C-contiguous view in chunks of ``CHUNK`` elements and
+evaluate every chunk in place, with ``out=`` into a few chunk-sized
+scratch buffers, instead of building full-size float64 temporaries. Each
+chunk runs the whole-array formula's ufuncs in the same order, with the
+same operand dtypes and the same casts. Every one of those ops is
+elementwise and correctly rounded, so an element's result does not
+depend on which chunk it falls in: the parameters, moments and
+gradients are bit-identical to the whole-array evaluation. The L2
+penalty stays one whole-tensor ``np.dot``, because splitting a reduction
+would change its rounding.
 """
 
 from __future__ import annotations
@@ -21,6 +33,13 @@ from .tensor import Tensor4
 
 # t is serialized as uint64 in checkpoints
 MAX_STEPS = 2**64 - 1
+
+# Elements per chunk of the in-place updates; the results do not depend on
+# it. At 2**15 a float64 scratch buffer is 256 KiB, so a chunk's working
+# set stays in cache: on a 2-vCPU Xeon with 4 MiB L2, the M3 step (17.2M
+# float32 params) ran as fast as at 2**14 and faster than at 2**13, 2**16
+# and 2**17.
+CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -57,9 +76,28 @@ class AdamState:
     def for_params(cls, params: dict[str, Tensor4]) -> "AdamState":
         state = cls()
         for key, p in params.items():
-            state.m[key] = Tensor4(np.zeros(p.dims, dtype=np.float64))
-            state.v[key] = Tensor4(np.zeros(p.dims, dtype=np.float64))
+            state.add_zero_moments(key, p.dims)
         return state
+
+    def add_zero_moments(self, key: str, dims) -> None:
+        """Start the moments of one parameter tensor at zero (float64)."""
+        self.m[key] = Tensor4(np.zeros(dims, dtype=np.float64))
+        self.v[key] = Tensor4(np.zeros(dims, dtype=np.float64))
+
+
+def _spans(size: int):
+    """(start, stop) of each chunk of a flat view of ``size`` elements."""
+    for lo in range(0, size, CHUNK):
+        yield lo, min(lo + CHUNK, size)
+
+
+def _check_inplace(key: str, *arrays: np.ndarray) -> None:
+    """Arrays updated through their flat view must be C-contiguous, or the
+    reshape would copy and drop the update, and writable."""
+    for arr in arrays:
+        if not (arr.flags.c_contiguous and arr.flags.writeable):
+            raise StateError(f"arrays of {key!r} updated in place must be "
+                             "writable and C-contiguous")
 
 
 def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
@@ -67,33 +105,59 @@ def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
     """One Adam step over every tensor in ``params``, in place.
 
     Moments are kept in float64 regardless of parameter precision so the
-    update arithmetic is identical between precisions.
+    update arithmetic is identical between precisions. Every check runs
+    before anything is written, so a rejected step leaves the
+    parameters, the moments and ``state.t`` as they were.
     """
     if state.t >= MAX_STEPS:
         raise StateError("Adam step counter exhausted")
     missing = set(params) - set(grads)
     if missing:
         raise ShapeError(f"no gradient supplied for params {sorted(missing)}")
-    state.t += 1
-    t = state.t
-    alpha_t = cfg.alpha * math.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
     for key, p in params.items():
         g = grads[key]
         if g.dims != p.dims:
             raise ShapeError(f"grad dims {g.dims} != param dims {p.dims} for {key!r}")
+        moments = (state.m[key].data, state.v[key].data) if key in state.m else ()
+        for arr in moments:
+            if arr.shape != p.dims:
+                raise ShapeError(f"state dims {arr.shape} != param dims {p.dims} for {key!r}")
+        _check_inplace(key, p.data, *moments)
+
+    state.t += 1
+    t = state.t
+    alpha_t = cfg.alpha * math.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    n = min(CHUNK, max((p.data.size for p in params.values()), default=0))
+    g64, scaled, denom = np.empty(n), np.empty(n), np.empty(n)
+    for key, p in params.items():
         if key not in state.m:
-            state.m[key] = Tensor4(np.zeros(p.dims, dtype=np.float64))
-            state.v[key] = Tensor4(np.zeros(p.dims, dtype=np.float64))
-        m, v = state.m[key].data, state.v[key].data
-        if m.shape != p.dims:
-            raise ShapeError(f"state dims {m.shape} != param dims {p.dims} for {key!r}")
-        gd = g.data.astype(np.float64, copy=False)
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * gd
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (gd * gd)
-        update = alpha_t * m / (np.sqrt(v) + cfg.epsilon)
-        p.data -= update.astype(p.data.dtype, copy=False)
+            state.add_zero_moments(key, p.dims)
+        w, g, m, v = (a.reshape(-1) for a in (p.data, grads[key].data,
+                                              state.m[key].data, state.v[key].data))
+        # the update is cast to the parameter dtype before the subtraction
+        cast = scaled if w.dtype == scaled.dtype else np.empty(n, dtype=w.dtype)
+        for lo, hi in _spans(w.size):
+            k = hi - lo
+            gd = g[lo:hi]
+            if gd.dtype != np.float64:
+                gd = g64[:k]
+                np.copyto(gd, g[lo:hi])
+            mc, vc, u, d = m[lo:hi], v[lo:hi], scaled[:k], denom[:k]
+            mc *= b1
+            np.multiply(1.0 - b1, gd, out=u)
+            mc += u
+            vc *= b2
+            np.multiply(gd, gd, out=u)
+            np.multiply(1.0 - b2, u, out=u)
+            vc += u
+            np.multiply(alpha_t, mc, out=u)
+            np.sqrt(vc, out=d)
+            np.add(d, eps, out=d)
+            np.divide(u, d, out=u)
+            if cast is not scaled:
+                np.copyto(cast[:k], u, casting="same_kind")
+            w[lo:hi] -= cast[:k]
 
 
 def apply_l2(params: dict[str, Tensor4], grads: dict[str, Tensor4], lam: float,
@@ -108,14 +172,30 @@ def apply_l2(params: dict[str, Tensor4], grads: dict[str, Tensor4], lam: float,
         raise ValueError(f"lam must be >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
+    coef = 2.0 * lam
     penalty = 0.0
     for key, p in params.items():
         if not include_biases and key.endswith(".b"):
             continue
         w = p.data
         penalty += lam * float(np.dot(w.ravel(), w.ravel()))
-        if key in grads:
-            grads[key].data += (2.0 * lam * w).astype(grads[key].data.dtype, copy=False)
+        if key not in grads:
+            continue
+        g = grads[key].data
+        if g.shape != w.shape:
+            raise ShapeError(f"grad dims {g.shape} != param dims {w.shape} for {key!r}")
+        _check_inplace(key, g)
+        g, w = g.reshape(-1), w.reshape(-1)
+        n = min(CHUNK, w.size)
+        # the dtype and the cast of the whole-array (2*lam*w).astype(g.dtype)
+        term = np.empty(n, dtype=np.result_type(coef, w))
+        cast = term if term.dtype == g.dtype else np.empty(n, dtype=g.dtype)
+        for lo, hi in _spans(w.size):
+            k = hi - lo
+            np.multiply(coef, w[lo:hi], out=term[:k])
+            if cast is not term:
+                np.copyto(cast[:k], term[:k], casting="same_kind")
+            g[lo:hi] += cast[:k]
     return penalty
 
 

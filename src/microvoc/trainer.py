@@ -430,7 +430,9 @@ class Checkpoint:
 
 def _write_tensor(fh, t: Tensor4) -> None:
     fh.write(struct.pack("<4I", *t.dims))
-    fh.write(t.data.astype("<f8", copy=False).tobytes())
+    # written from the array's buffer: a bytes copy of a large tensor costs
+    # about as much as the write itself
+    fh.write(np.ascontiguousarray(t.data, dtype="<f8").data)
 
 
 class _Reader:

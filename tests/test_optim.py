@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microvoc.errors import ShapeError, StateError
 from microvoc.optim import (
+    CHUNK,
     MAX_STEPS,
     AdamConfig,
     AdamState,
@@ -149,6 +152,104 @@ class TestAdamStep:
             AdamConfig(alpha=0.0)
         with pytest.raises(ValueError):
             AdamConfig(lam=-1.0)
+
+
+def snapshot(params, state):
+    arrays = {f"param {k}": p.data for k, p in params.items()}
+    arrays.update({f"m {k}": m.data for k, m in state.m.items()})
+    arrays.update({f"v {k}": v.data for k, v in state.v.items()})
+    return state.t, {name: a.tobytes() for name, a in arrays.items()}
+
+
+def test_rejected_step_changes_nothing():
+    # every case passes each check on tensor "a" and fails one on "b"
+    rng = np.random.default_rng(4)
+    params = {"a": Tensor4(rng.standard_normal((2, 3, 1, 1))),
+              "b": Tensor4(rng.standard_normal((1, 1, 2, 2)).astype(np.float32))}
+    grads = {k: Tensor4(rng.standard_normal(p.dims)) for k, p in params.items()}
+    bad_grads = dict(grads, b=Tensor4(np.ones((1, 1, 1, 3))))
+    stale = AdamState.for_params(params)
+    stale.v["b"] = Tensor4(np.zeros((1, 1, 1, 4)))
+    frozen = dict(params, b=params["b"].copy())
+    frozen["b"].data.flags.writeable = False
+    cases = {
+        "grad dims": (params, bad_grads, AdamState.for_params(params), ShapeError),
+        "grad dims, no moments yet": (params, bad_grads, AdamState(), ShapeError),
+        "second-moment dims": (params, grads, stale, ShapeError),
+        "read-only param": (frozen, grads, AdamState.for_params(params), StateError),
+    }
+    for name, (ps, gs, state, error) in cases.items():
+        state.t = 5
+        before = snapshot(ps, state)
+        with pytest.raises(error):
+            adam_step(ps, gs, state, AdamConfig())
+        assert snapshot(ps, state) == before, name
+
+
+def whole_array_l2(params, grads, lam):
+    """The whole-array apply_l2 the chunked one must reproduce bit for bit."""
+    penalty = 0.0
+    for key, p in params.items():
+        if key.endswith(".b"):
+            continue
+        w = p.data
+        penalty += lam * float(np.dot(w.ravel(), w.ravel()))
+        grads[key].data += (2.0 * lam * w).astype(grads[key].data.dtype, copy=False)
+    return penalty
+
+
+def whole_array_adam(params, grads, moments, t, cfg):
+    """The whole-array adam_step the chunked one must reproduce bit for bit."""
+    alpha_t = cfg.alpha * math.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
+    for key, p in params.items():
+        m, v = moments[key]
+        gd = grads[key].data.astype(np.float64, copy=False)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * gd
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (gd * gd)
+        update = alpha_t * m / (np.sqrt(v) + cfg.epsilon)
+        p.data -= update.astype(p.data.dtype, copy=False)
+
+
+CHUNK_EDGE_SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.sampled_from(CHUNK_EDGE_SIZES), min_size=1, max_size=3),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       lazy_state=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_chunked_updates_match_whole_array(sizes, dtype, lazy_state, seed):
+    rng = np.random.default_rng(seed)
+    cfg, lam = AdamConfig(), 5e-4
+    shapes = [(size, 1, 1, 1) if i % 2 else (1, 1, 1, size) for i, size in enumerate(sizes)]
+    names = [f"{i}.{'b' if i == 2 else 'w'}" for i in range(len(shapes))]
+    start = {k: rng.standard_normal(s).astype(dtype) for k, s in zip(names, shapes)}
+    params = {k: Tensor4(w.copy()) for k, w in start.items()}
+    ref_params = {k: Tensor4(w.copy()) for k, w in start.items()}
+    state = AdamState() if lazy_state else AdamState.for_params(params)
+    ref_moments = {k: (np.zeros(w.shape), np.zeros(w.shape)) for k, w in start.items()}
+    for t in range(1, 4):
+        grads = {}
+        for k, w in start.items():
+            g = rng.standard_normal(w.shape) * 10.0 ** rng.integers(-6, 3)
+            flat = g.reshape(-1)
+            flat[rng.random(flat.size) < 0.1] = 0.0
+            flat[rng.random(flat.size) < 0.1] = -0.0
+            grads[k] = g.astype(dtype)
+        chunked = {k: Tensor4(g.copy()) for k, g in grads.items()}
+        whole = {k: Tensor4(g.copy()) for k, g in grads.items()}
+        penalty = apply_l2(params, chunked, lam)
+        assert penalty == whole_array_l2(ref_params, whole, lam)
+        adam_step(params, chunked, state, cfg)
+        whole_array_adam(ref_params, whole, ref_moments, t, cfg)
+        assert state.t == t
+        for k in start:
+            assert chunked[k].data.tobytes() == whole[k].data.tobytes()
+            assert params[k].data.tobytes() == ref_params[k].data.tobytes()
+            assert state.m[k].data.tobytes() == ref_moments[k][0].tobytes()
+            assert state.v[k].data.tobytes() == ref_moments[k][1].tobytes()
 
 
 class TestApplyL2:
