@@ -13,9 +13,10 @@ overrides per-layer geometry; without it the defaults from
 :mod:`microvoc.layers` apply. Canonical strings (as produced by
 :func:`render`) are flat, with no parentheses or repetition.
 
-Override keys: Conv ``k`` (square kernel), ``s`` (stride), ``p`` (pad);
-MaxPool ``k``, ``s``; Dropout ``p`` (drop probability); LRN ``n``, ``k``,
-``alpha``, ``beta``.
+Each kind's token, count and override keys are its row in
+``layers.KINDS``: Conv ``k`` (square kernel), ``s`` (stride), ``p``
+(pad); MaxPool ``k``, ``s``; Dropout ``p`` (drop probability); LRN ``n``,
+``k``, ``alpha``, ``beta``.
 """
 
 from __future__ import annotations
@@ -24,30 +25,9 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArchError, ShapeError
-from .layers import realize
+from .layers import KINDS, Realized, realize
 
-KINDS = ("conv", "relu", "maxpool", "lrn", "dropout", "fc", "softmax")
-
-_TOKEN_NAMES = {
-    "Conv": "conv",
-    "ReLU": "relu",
-    "MaxPool": "maxpool",
-    "LRN": "lrn",
-    "Dropout": "dropout",
-    "FC": "fc",
-    "Softmax": "softmax",
-}
-_COUNTED = ("conv", "fc")
-
-_INT_OPTS = {
-    "conv": ("k", "s", "p"),
-    "maxpool": ("k", "s"),
-    "lrn": ("n",),
-}
-_FLOAT_OPTS = {
-    "dropout": ("p",),
-    "lrn": ("k", "alpha", "beta"),
-}
+_KIND_OF_TOKEN = {row.token: kind for kind, row in KINDS.items()}
 
 #: reference architectures selectable by name on the CLI
 PRESETS = {
@@ -68,7 +48,7 @@ class LayerSpec:
     opts: dict = field(default_factory=dict)
 
     def token(self) -> str:
-        name = {v: k for k, v in _TOKEN_NAMES.items()}[self.kind]
+        name = KINDS[self.kind].token
         s = f"{name}{self.count}" if self.count is not None else name
         if self.opts:
             inner = ",".join(f"{k}={v!r}" if not isinstance(v, (int, float)) else f"{k}={v}"
@@ -81,8 +61,18 @@ class LayerSpec:
 class NetworkSpec:
     input_dims: tuple[int, int, int]  # (channels, height, width)
     layers: list[LayerSpec]
-    shapes: list[tuple[int, int, int]]  # per-layer output dims
-    param_count: int
+    # per layer: config, output dims, parameter shapes; a Dropout without a
+    # p option has the default here, and trainer.set_dropout changes a net's
+    realized: list[Realized]
+
+    @property
+    def shapes(self) -> list[tuple[int, int, int]]:
+        """Per-layer output dims."""
+        return [layer.out_dims for layer in self.realized]
+
+    @property
+    def param_count(self) -> int:
+        return sum(layer.param_count for layer in self.realized)
 
     @property
     def num_classes(self) -> int | None:
@@ -129,25 +119,24 @@ class _Scanner:
 
 
 def _coerce_opt(kind: str, key: str, raw: str, pos: int):
-    if key in _INT_OPTS.get(kind, ()):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ArchError(f"option {key!r} of {kind} must be an integer, got {raw!r}", pos)
-    if key in _FLOAT_OPTS.get(kind, ()):
-        return float(raw)
-    raise ArchError(f"unknown option {key!r} for layer kind {kind!r}", pos)
+    value_type = KINDS[kind].opts.get(key)
+    if value_type is None:
+        raise ArchError(f"unknown option {key!r} for layer kind {kind!r}", pos)
+    try:
+        return value_type(raw)
+    except ValueError:  # float() takes every number the scanner matches; int() may not
+        raise ArchError(f"option {key!r} of {kind} must be an integer, got {raw!r}", pos)
 
 
 def _parse_token(sc: _Scanner) -> LayerSpec:
     start = sc.pos
     name = sc.match(_NAME_RE)
-    if name is None or name not in _TOKEN_NAMES:
+    if name is None or name not in _KIND_OF_TOKEN:
         bad = name if name is not None else sc.peek() or "<end>"
         raise ArchError(f"unknown token {bad!r}", start)
-    kind = _TOKEN_NAMES[name]
+    kind = _KIND_OF_TOKEN[name]
     count = None
-    if kind in _COUNTED:
+    if KINDS[kind].counted:
         num = sc.match(_INT_RE)
         if num is None:
             raise ArchError(f"{name} requires a count, e.g. {name}64", sc.pos)
@@ -215,9 +204,8 @@ def parse_layers(text: str) -> list[LayerSpec]:
     return layers
 
 
-def infer_shapes(layers: list[LayerSpec],
-                 input_dims: tuple[int, int, int]) -> tuple[list[tuple[int, int, int]], int]:
-    """Walk the layer list computing output dims and the parameter count.
+def infer_shapes(layers: list[LayerSpec], input_dims: tuple[int, int, int]) -> list[Realized]:
+    """Realize each layer on its input dims, in order.
 
     Raises ArchError identifying the offending layer when a conv/pool
     geometry does not divide exactly, an option value is out of range or
@@ -227,24 +215,20 @@ def infer_shapes(layers: list[LayerSpec],
     if c < 1 or h < 1 or w < 1:
         raise ArchError(f"input dims must be positive, got {input_dims}")
     dims = (c, h, w)
-    shapes: list[tuple[int, int, int]] = []
-    params = 0
+    realized: list[Realized] = []
     for i, ls in enumerate(layers):
         try:
-            layer = realize(ls, dims)
+            realized.append(realize(ls, dims))
         except (ShapeError, ValueError) as e:
             raise ArchError(f"layer {i} ({ls.token()}): {e}") from e
-        dims = layer.out_dims
-        params += layer.param_count
-        shapes.append(dims)
-    return shapes, params
+        dims = realized[-1].out_dims
+    return realized
 
 
 def parse(text: str, input_dims: tuple[int, int, int] = (3, 128, 128)) -> NetworkSpec:
     """Parse and shape-check an architecture string."""
     layers = parse_layers(text)
-    shapes, params = infer_shapes(layers, input_dims)
-    return NetworkSpec(tuple(input_dims), layers, shapes, params)
+    return NetworkSpec(tuple(input_dims), layers, infer_shapes(layers, input_dims))
 
 
 def render(spec: NetworkSpec) -> str:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import archdsl, dataio, gradcheck, trainer
-from .augment import resize_to
 from .errors import (
     ArchError,
     CheckpointError,
@@ -26,9 +25,8 @@ from .errors import (
     MicrovocError,
 )
 from .initializers import InitSpec
-from .layers import Mode, realize
+from .layers import Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
-from .tensor import Tensor4
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -161,6 +159,10 @@ def cmd_train(args) -> int:
     if not run_cfg.manifest:
         raise ConfigError("config must set 'manifest'")
     config = to_train_config(run_cfg)
+    # checkpoints are written at evaluations, so any other period skips some
+    if run_cfg.checkpoint_every < 0 or run_cfg.checkpoint_every % config.eval_every:
+        raise ConfigError(f"checkpoint_every = {run_cfg.checkpoint_every} must be 0 or a "
+                          f"positive multiple of eval_every = {config.eval_every}")
     class_names = [c.strip() for c in run_cfg.classes.split(",") if c.strip()]
     out_dir = Path(run_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +185,9 @@ def cmd_train(args) -> int:
     alpha = config.adam.alpha
     if run_cfg.resume:
         ckpt = trainer.load_checkpoint(run_cfg.resume)
-        net, start_iteration, alpha = ckpt.net, ckpt.iteration, ckpt.alpha
+        # a checkpoint keeps no dropout_p: the resumed run uses its own
+        net = trainer.set_dropout(ckpt.net, config.dropout_p)
+        start_iteration, alpha = ckpt.iteration, ckpt.alpha
         if ckpt.adam_state is not None:
             adam_state = ckpt.adam_state
         scheduler = ckpt.make_scheduler(config.scheduler)
@@ -230,15 +234,10 @@ def cmd_predict(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
     class_names = ckpt.class_names or list(dataio.VOC_CLASSES)
     c, h, w = ckpt.net.spec.input_dims
-    raw = dataio.read_image(args.image)
-    img = Tensor4(raw[np.newaxis])
-    if img.dims[2:] != (h, w):
-        img = resize_to(img, (h, w))
-    if ckpt.channel_means is not None:
-        img = Tensor4(img.data - ckpt.channel_means.reshape(1, -1, 1, 1))
+    img = dataio.load_image(args.image, (h, w), ckpt.channel_means)
     logits = ckpt.net.forward(img, Mode.TEST).data.reshape(-1)
-    z = logits - logits.max()
-    probs = np.exp(z) / np.exp(z).sum()
+    exp = np.exp(logits - logits.max())
+    probs = exp / exp.sum()
     order = np.argsort(-probs)[:5]
     for rank, idx in enumerate(order, start=1):
         name = class_names[idx] if idx < len(class_names) else f"class{idx}"
@@ -261,12 +260,8 @@ def cmd_inspect(args) -> int:
     h = w = args.input_size
     spec = archdsl.parse(archdsl.resolve_arch(args.arch), (3, h, w))
     print(f"input: (3, {h}, {w})")
-    dims = spec.input_dims
-    for ls in spec.layers:
-        layer = realize(ls, dims)
-        dims = layer.out_dims
-        print(f"{ls.token():<24} -> ({dims[0]}, {dims[1]}, {dims[2]})"
-              f"{'':4}params={layer.param_count}")
+    for ls, layer in zip(spec.layers, spec.realized):
+        print(f"{ls.token():<24} -> {layer.out_dims}{'':4}params={layer.param_count}")
     print(f"total parameters: {spec.param_count}")
     return EXIT_OK
 

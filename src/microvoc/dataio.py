@@ -137,13 +137,17 @@ def read_manifest(path, class_names=VOC_CLASSES) -> list[tuple[str, str, int]]:
     return records
 
 
-def _load_record(root: Path, rel: str, label_idx: int,
-                 resize: tuple[int, int]) -> Sample:
-    raw = read_image(root / rel)
-    img = Tensor4(raw[np.newaxis])
-    if img.dims[2:] != resize:
-        img = resize_to(img, resize)
-    return Sample(img, label_idx, rel)
+def load_image(path, size: tuple[int, int], channel_means=None) -> Tensor4:
+    """An image file as a (1, 3, H, W) network input: decoded, resized to
+    ``size`` = (H, W) unless already that size, and centered with the
+    per-channel means when they are given."""
+    img = Tensor4(read_image(path)[np.newaxis])
+    if img.dims[2:] != size:
+        img = resize_to(img, size)
+    if channel_means is not None:
+        means = np.asarray(channel_means, dtype=np.float64)
+        img = Tensor4(img.data - means.reshape(1, -1, 1, 1))
+    return img
 
 
 def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
@@ -166,7 +170,7 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
     failures: list[tuple[int, str, str]] = []
     for rel, label, lineno in records:
         try:
-            samples.append(_load_record(root, rel, index[label], resize))
+            samples.append(Sample(load_image(root / rel, resize), index[label], rel))
         except (OSError, ValueError) as e:
             failures.append((lineno, rel, str(e)))
     if failures:
@@ -202,11 +206,5 @@ def load_eval_samples(manifest_path, image_root=None, *, class_names=VOC_CLASSES
     root = Path(image_root) if image_root is not None else manifest_path.parent
     class_names = list(class_names)
     index = {name: i for i, name in enumerate(class_names)}
-    samples = []
-    for rel, label, _ in read_manifest(manifest_path, class_names):
-        s = _load_record(root, rel, index[label], resize)
-        if channel_means is not None:
-            means = np.asarray(channel_means, dtype=np.float64)
-            s = Sample(Tensor4(s.image.data - means.reshape(1, -1, 1, 1)), s.label, s.id)
-        samples.append(s)
-    return samples
+    return [Sample(load_image(root / rel, resize, channel_means), index[label], rel)
+            for rel, label, _ in read_manifest(manifest_path, class_names)]

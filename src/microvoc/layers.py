@@ -6,8 +6,9 @@ upstream gradient into input/parameter gradients. Every kernel takes and
 returns NCHW tensors. Inside, conv works on the zero-padded input laid out
 as an NHWC row grid, one row of C channels per position, where each kernel
 tap is one GEMM on a contiguous row slice; max pooling takes a running
-maximum over the k*k strided views of its input. ``GEOMETRY`` holds each
-kind's ``realize``: its validated config, output dims and parameter
+maximum over the k*k strided views of its input. ``KINDS`` holds one row
+per kind: its token and options in architecture strings, and its
+``realize``, which gives its validated config, output dims and parameter
 shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,7 +101,7 @@ def conv_out_dim(size: int, kernel: int, stride: int, pad: int, what: str = "con
 
 
 # ---------------------------------------------------------------------------
-# geometry: one realize function per layer kind
+# the layer-kind table: token, count, options and geometry of each kind
 
 class Realized(NamedTuple):
     cfg: object  # ConvConfig / LrnConfig / DropoutConfig / (k, stride) / None
@@ -117,7 +118,7 @@ def _dense_params(count: int, fan_dims: tuple) -> dict:
     return {"w": (count, *fan_dims), "b": (1, count, 1, 1)}
 
 
-def _realize_conv(spec, dims, dropout_p) -> Realized:
+def _realize_conv(spec, dims) -> Realized:
     c, h, w = dims
     k = spec.opts.get("k", DEFAULT_CONV_KERNEL[0])
     cfg = ConvConfig(spec.count, (k, k), spec.opts.get("s", DEFAULT_CONV_STRIDE),
@@ -127,7 +128,7 @@ def _realize_conv(spec, dims, dropout_p) -> Realized:
     return Realized(cfg, out, _dense_params(spec.count, (c, k, k)))
 
 
-def _realize_maxpool(spec, dims, dropout_p) -> Realized:
+def _realize_maxpool(spec, dims) -> Realized:
     c, h, w = dims
     k, s = spec.opts.get("k", DEFAULT_POOL_KERNEL), spec.opts.get("s", DEFAULT_POOL_STRIDE)
     if k < 1 or s < 1:
@@ -136,37 +137,44 @@ def _realize_maxpool(spec, dims, dropout_p) -> Realized:
     return Realized((k, s), out, {})
 
 
-def _realize_fc(spec, dims, dropout_p) -> Realized:
+def _realize_fc(spec, dims) -> Realized:
     return Realized(None, (spec.count, 1, 1), _dense_params(spec.count, (math.prod(dims), 1, 1)))
 
 
-def _realize_softmax(spec, dims, dropout_p) -> Realized:
+def _realize_softmax(spec, dims) -> Realized:
     c, h, w = dims
     if (h, w) != (1, 1):
         raise ShapeError(f"Softmax needs (C,1,1) input, got ({c},{h},{w})")
     return Realized(None, dims, {})
 
 
-#: kind -> realize(spec, in_dims, dropout_p) -> Realized
-GEOMETRY = {
-    "conv": _realize_conv,
-    "relu": lambda spec, dims, dropout_p: Realized(None, dims, {}),
-    "maxpool": _realize_maxpool,
-    "lrn": lambda spec, dims, dropout_p: Realized(LrnConfig(**spec.opts), dims, {}),
-    "dropout": lambda spec, dims, dropout_p: Realized(
-        DropoutConfig(spec.opts.get("p", dropout_p)), dims, {}),
-    "fc": _realize_fc,
-    "softmax": _realize_softmax,
+class Kind(NamedTuple):
+    token: str  # its name in architecture strings
+    counted: bool  # the token takes a count: filters for conv, neurons for fc
+    opts: dict  # bracket option -> value type (int or float)
+    realize: Callable  # (spec, in_dims) -> Realized
+
+
+#: kind -> Kind; the parser, the printer and shape inference read this table
+KINDS = {
+    "conv": Kind("Conv", True, {"k": int, "s": int, "p": int}, _realize_conv),
+    "relu": Kind("ReLU", False, {}, lambda spec, dims: Realized(None, dims, {})),
+    "maxpool": Kind("MaxPool", False, {"k": int, "s": int}, _realize_maxpool),
+    "lrn": Kind("LRN", False, {"n": int, "k": float, "alpha": float, "beta": float},
+                lambda spec, dims: Realized(LrnConfig(**spec.opts), dims, {})),
+    "dropout": Kind("Dropout", False, {"p": float},
+                    lambda spec, dims: Realized(DropoutConfig(**spec.opts), dims, {})),
+    "fc": Kind("FC", True, {}, _realize_fc),
+    "softmax": Kind("Softmax", False, {}, _realize_softmax),
 }
 
 
-def realize(spec, in_dims: tuple[int, int, int],
-            dropout_p: float = DEFAULT_DROPOUT_P) -> Realized:
+def realize(spec, in_dims: tuple[int, int, int]) -> Realized:
     """Validated config, (C, H, W) output dims and parameter shapes of one
-    parsed layer (an archdsl.LayerSpec) on ``in_dims`` input. ``dropout_p``
-    is the drop probability of a Dropout without a ``p`` override. Bad
-    geometry raises ShapeError, bad option values ValueError."""
-    return GEOMETRY[spec.kind](spec, tuple(in_dims), dropout_p)
+    parsed layer (an archdsl.LayerSpec) on ``in_dims`` input. A Dropout
+    without a ``p`` option gets DEFAULT_DROPOUT_P. Bad geometry raises
+    ShapeError, bad option values ValueError."""
+    return KINDS[spec.kind].realize(spec, tuple(in_dims))
 
 
 # ---------------------------------------------------------------------------

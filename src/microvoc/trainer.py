@@ -24,7 +24,7 @@ from .augment import Dataset, Sample, augment_train_split
 from .errors import CheckpointError, ShapeError, StateError, VersionError
 from .initializers import InitSpec, init_weights, zero_init
 from .layers import (
-    DEFAULT_DROPOUT_P,
+    DropoutConfig,
     Mode,
     conv2d_backward,
     conv2d_forward,
@@ -36,7 +36,6 @@ from .layers import (
     lrn_forward,
     maxpool_backward,
     maxpool_forward,
-    realize,
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
@@ -54,7 +53,7 @@ _STREAM_FREE = 0x44  # standalone forwards outside the training loop
 @dataclass
 class LayerNode:
     spec: LayerSpec
-    cfg: object = None  # layers.realize's config for this kind
+    cfg: object = None  # the config layers.realize gave this layer
     params: dict[str, Tensor4] = field(default_factory=dict)
     grads: dict[str, Tensor4] = field(default_factory=dict)
     frozen: bool = False  # frozen layers still get gradients; the optimizer drops them
@@ -162,22 +161,30 @@ def build(spec: NetworkSpec | str, *, seed: int = 0,
     """Instantiate a network from a spec (or architecture string).
 
     Conv/FC weights follow the per-kind InitSpec; biases are zeros.
-    ``dropout_p`` sets the drop probability for Dropout layers without a
-    per-layer override. Deterministic under ``seed``.
+    ``dropout_p``, when given, is passed to ``set_dropout``. Deterministic
+    under ``seed``.
     """
     if isinstance(spec, str):
         spec = archdsl.parse(archdsl.resolve_arch(spec),
                              input_dims or (3, 128, 128))
     rng = np.random.default_rng([seed, _STREAM_INIT])
     init = {"conv": init_conv, "fc": init_fc}
-    dims = spec.input_dims
-    nodes: list[LayerNode] = []
-    for ls in spec.layers:
-        layer = realize(ls, dims, DEFAULT_DROPOUT_P if dropout_p is None else dropout_p)
-        params = _init_params(layer.param_shapes, init.get(ls.kind), rng, dtype)
-        nodes.append(LayerNode(spec=ls, cfg=layer.cfg, params=params))
-        dims = layer.out_dims
-    return Network(spec, nodes, seed, dtype)
+    nodes = [LayerNode(spec=ls, cfg=layer.cfg,
+                       params=_init_params(layer.param_shapes, init.get(ls.kind), rng, dtype))
+             for ls, layer in zip(spec.layers, spec.realized)]
+    net = Network(spec, nodes, seed, dtype)
+    if dropout_p is not None:
+        set_dropout(net, dropout_p)
+    return net
+
+
+def set_dropout(net: Network, p: float) -> Network:
+    """Give drop probability ``p`` to the Dropout layers whose
+    architecture string sets no ``p`` option of their own."""
+    for node in net.nodes:
+        if node.spec.kind == "dropout" and "p" not in node.spec.opts:
+            node.cfg = DropoutConfig(p)
+    return net
 
 
 def _init_params(shapes: dict, init: InitSpec, rng: np.random.Generator,
@@ -330,14 +337,11 @@ def train(config: TrainConfig, dataset: Dataset, *,
         raise StateError("validation split is empty")
 
     dtype = np.dtype(config.dtype)
-    if net is None:
-        img_dims = train_samples[0].image.dims
-        spec = config.arch
-        if isinstance(spec, str):
-            spec = archdsl.parse(archdsl.resolve_arch(spec), img_dims[1:])
-        net = build(spec, seed=config.seed, init_conv=config.init_conv,
-                    init_fc=config.init_fc, dropout_p=config.dropout_p, dtype=dtype)
     img_dims = train_samples[0].image.dims
+    if net is None:
+        net = build(config.arch, seed=config.seed, init_conv=config.init_conv,
+                    init_fc=config.init_fc, dropout_p=config.dropout_p, dtype=dtype,
+                    input_dims=img_dims[1:])
     if img_dims[1:] != net.spec.input_dims:
         raise StateError(f"dataset images {img_dims[1:]} do not match "
                          f"network input {net.spec.input_dims}")

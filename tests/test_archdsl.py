@@ -1,8 +1,13 @@
+import re
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from microvoc import archdsl
-from microvoc.archdsl import PRESETS, parse, parse_layers, render
+from microvoc.archdsl import PRESETS, LayerSpec, NetworkSpec, parse, parse_layers, render
 from microvoc.errors import ArchError
+from microvoc.layers import KINDS
 
 
 def kinds(layers):
@@ -176,3 +181,57 @@ class TestParamOrdering:
 def test_resolve_arch():
     assert archdsl.resolve_arch("M1") == PRESETS["M1"]
     assert archdsl.resolve_arch("IMG-FC2") == "IMG-FC2"
+
+
+# ---------------------------------------------------------------------------
+# properties drawn from the layer-kind table
+
+_OPTION_VALUES = {
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+_BODY_KINDS = [kind for kind in KINDS if kind != "softmax"]
+
+
+def _layer(kind: str):
+    row = KINDS[kind]
+    return st.builds(
+        LayerSpec, st.just(kind),
+        st.integers(1, 10**6) if row.counted else st.none(),
+        st.fixed_dictionaries({}, optional={key: _OPTION_VALUES[value_type]
+                                            for key, value_type in row.opts.items()}))
+
+
+@st.composite
+def _layer_lists(draw):
+    """Every kind at least once, in any order, plus a few more; Softmax
+    (when drawn) last, the only place the grammar allows it."""
+    kinds = draw(st.permutations(_BODY_KINDS))
+    kinds += draw(st.lists(st.sampled_from(_BODY_KINDS), max_size=4))
+    if draw(st.booleans()):
+        kinds.append("softmax")
+    return [draw(_layer(kind)) for kind in kinds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(layers=_layer_lists())
+def test_table_drawn_layer_lists_round_trip(layers):
+    text = "-".join(["IMG"] + [ls.token() for ls in layers])
+    first = parse_layers(text)
+    assert first == layers
+    for ls in first:
+        assert all(type(value) is KINDS[ls.kind].opts[key] for key, value in ls.opts.items())
+    # render reads only the layer list, so no shapes are needed here
+    again = parse_layers(render(NetworkSpec((3, 1, 1), first, [])))
+    assert again == first
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(list(KINDS)), key=st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+       value=st.integers(0, 99))
+def test_option_outside_its_row_is_rejected(kind, key, value):
+    row = KINDS[kind]
+    assume(key not in row.opts)
+    token = f"{row.token}{4 if row.counted else ''}[{key}={value}]"
+    with pytest.raises(ArchError, match=re.escape(f"unknown option {key!r} for layer kind {kind!r}")):
+        parse_layers(f"IMG-{token}")

@@ -10,6 +10,40 @@ from microvoc.trainer import load_checkpoint
 
 TINY_ARCH = "IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-FC2)-Softmax"
 
+M3_TABLE = """\
+input: (3, 128, 128)
+Conv64                   -> (64, 128, 128)    params=1792
+ReLU                     -> (64, 128, 128)    params=0
+LRN                      -> (64, 128, 128)    params=0
+MaxPool                  -> (64, 64, 64)    params=0
+Conv128                  -> (128, 64, 64)    params=73856
+ReLU                     -> (128, 64, 64)    params=0
+LRN                      -> (128, 64, 64)    params=0
+Conv256                  -> (256, 64, 64)    params=295168
+ReLU                     -> (256, 64, 64)    params=0
+MaxPool                  -> (256, 32, 32)    params=0
+Dropout                  -> (256, 32, 32)    params=0
+FC1024                   -> (1024, 1, 1)    params=268436480
+ReLU                     -> (1024, 1, 1)    params=0
+Dropout                  -> (1024, 1, 1)    params=0
+FC20                     -> (20, 1, 1)    params=20500
+Softmax                  -> (20, 1, 1)    params=0
+total parameters: 268827796
+"""
+
+OVERRIDE_ARCH = "IMG-Conv8[k=5,s=2,p=0]-ReLU-MaxPool[k=3,s=3]-LRN[n=3]-Dropout[p=0.3]-FC2-Softmax"
+OVERRIDE_TABLE_33 = """\
+input: (3, 33, 33)
+Conv8[k=5,p=0,s=2]       -> (8, 15, 15)    params=608
+ReLU                     -> (8, 15, 15)    params=0
+MaxPool[k=3,s=3]         -> (8, 5, 5)    params=0
+LRN[n=3]                 -> (8, 5, 5)    params=0
+Dropout[p=0.3]           -> (8, 5, 5)    params=0
+FC2                      -> (2, 1, 1)    params=402
+Softmax                  -> (2, 1, 1)    params=0
+total parameters: 1010
+"""
+
 
 @pytest.fixture
 def dataset_dir(tmp_path):
@@ -121,6 +155,14 @@ class TestInspect:
                      "--input-size", "32"]) == 0
         assert "(4, 16, 16)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--arch", "M3"], M3_TABLE),
+        (["--arch", OVERRIDE_ARCH, "--input-size", "33"], OVERRIDE_TABLE_33),
+    ])
+    def test_full_table(self, capsys, argv, expected):
+        assert main(["inspect", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestGradcheckCommand:
     def test_single_layer_ok(self, capsys):
@@ -210,6 +252,37 @@ class TestTrainEvalPredict:
         full_rows = (tmp_path / "full" / "history.csv").read_text().splitlines()
         rest_rows = (tmp_path / "rest" / "history.csv").read_text().splitlines()
         assert rest_rows[1] == full_rows[2]  # the iteration-20 row matches
+
+    def test_resume_keeps_the_runs_dropout_p(self, tmp_path, dataset_dir, capsys):
+        _, manifest = dataset_dir
+        common = dict(arch="IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-Dropout-FC2)-Softmax",
+                      eval_every=10, dropout_p=0.3)
+        full_cfg = write_config(tmp_path / "full.cfg", manifest, tmp_path / "full",
+                                max_iterations=20, **common)
+        assert main(["train", "--config", str(full_cfg)]) == 0
+        half_cfg = write_config(tmp_path / "half.cfg", manifest, tmp_path / "half",
+                                max_iterations=10, checkpoint_every=10, **common)
+        assert main(["train", "--config", str(half_cfg)]) == 0
+        resumed_cfg = write_config(
+            tmp_path / "rest.cfg", manifest, tmp_path / "rest", max_iterations=20,
+            resume=str(tmp_path / "half" / "checkpoint_10.ckpt"), **common)
+        assert main(["train", "--config", str(resumed_cfg)]) == 0
+        capsys.readouterr()
+
+        full_rows = (tmp_path / "full" / "history.csv").read_text().splitlines()
+        rest_rows = (tmp_path / "rest" / "history.csv").read_text().splitlines()
+        assert rest_rows[1] == full_rows[2]
+
+    @pytest.mark.parametrize("every", [15, 5, -10])
+    def test_checkpoint_every_off_the_evaluations_is_usage_error(
+            self, tmp_path, dataset_dir, capsys, every):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           max_iterations=20, eval_every=10, checkpoint_every=every)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint_every" in err and "eval_every" in err
+        assert not (tmp_path / "run").exists()
 
     def test_final_checkpoint_keeps_adam_state_without_evaluation(
             self, tmp_path, dataset_dir, capsys):

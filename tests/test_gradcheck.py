@@ -3,8 +3,8 @@ central finite differences in double precision."""
 
 import pytest
 
-from microvoc import archdsl, gradcheck, trainer
-from microvoc.layers import GEOMETRY
+from microvoc import gradcheck, trainer
+from microvoc.layers import KINDS
 
 
 @pytest.mark.parametrize("kind", ["conv", "relu", "maxpool", "lrn", "dropout",
@@ -34,5 +34,5 @@ def test_rel_error_definition():
 
 
 def test_every_kind_has_geometry_dispatch_and_gradcheck_case():
-    assert set(GEOMETRY) == set(trainer.DISPATCH) == set(gradcheck.CASES) == set(archdsl.KINDS)
-    assert gradcheck.LAYER_KINDS == (*archdsl.KINDS, "network")
+    assert set(KINDS) == set(trainer.DISPATCH) == set(gradcheck.CASES)
+    assert gradcheck.LAYER_KINDS == (*KINDS, "network")
