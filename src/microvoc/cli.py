@@ -152,6 +152,21 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
     )
 
 
+def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network) -> None:
+    """A resumed run trains the checkpoint's net: reject a config whose
+    input size, architecture or precision describes another one."""
+    dims = (3, run_cfg.resize, run_cfg.resize)
+    if dims != net.spec.input_dims:
+        raise ConfigError(f"resize = {run_cfg.resize} gives input dims {dims}, but the "
+                          f"resumed checkpoint's are {net.spec.input_dims}")
+    arch, ckpt_arch = archdsl.render(archdsl.parse(config.arch, dims)), archdsl.render(net.spec)
+    if arch != ckpt_arch:
+        raise ConfigError(f"arch = {arch}, but the resumed checkpoint's is {ckpt_arch}")
+    if np.dtype(config.dtype) != net.dtype:
+        raise ConfigError(f"precision = {config.dtype}, but the resumed checkpoint's is "
+                          f"{net.dtype}")
+
+
 def cmd_train(args) -> int:
     run_cfg = parse_run_config(args.config)
     if not run_cfg.arch:
@@ -163,6 +178,9 @@ def cmd_train(args) -> int:
     if run_cfg.checkpoint_every < 0 or run_cfg.checkpoint_every % config.eval_every:
         raise ConfigError(f"checkpoint_every = {run_cfg.checkpoint_every} must be 0 or a "
                           f"positive multiple of eval_every = {config.eval_every}")
+    ckpt = trainer.load_checkpoint(run_cfg.resume) if run_cfg.resume else None
+    if ckpt is not None:
+        _check_resume(run_cfg, config, ckpt.net)
     class_names = [c.strip() for c in run_cfg.classes.split(",") if c.strip()]
     out_dir = Path(run_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,8 +201,7 @@ def cmd_train(args) -> int:
     scheduler = PlateauScheduler(config.scheduler)
     start_iteration = 0
     alpha = config.adam.alpha
-    if run_cfg.resume:
-        ckpt = trainer.load_checkpoint(run_cfg.resume)
+    if ckpt is not None:
         # a checkpoint keeps no dropout_p: the resumed run uses its own
         net = trainer.set_dropout(ckpt.net, config.dropout_p)
         start_iteration, alpha = ckpt.iteration, ckpt.alpha

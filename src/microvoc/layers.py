@@ -2,11 +2,14 @@
 
 Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
-upstream gradient into input/parameter gradients. Every kernel takes and
-returns NCHW tensors. Inside, conv works on the zero-padded input laid out
-as an NHWC row grid, one row of C channels per position, where each kernel
-tap is one GEMM on a contiguous row slice; max pooling takes a running
-maximum over the k*k strided views of its input. ``KINDS`` holds one row
+upstream gradient into input/parameter gradients. ReLU, LRN and dropout
+take the ``Mode``: in test mode they cache nothing (``None``), as only
+backward reads a cache. Every kernel takes and returns NCHW tensors.
+Inside, conv works on the zero-padded input laid out as an NHWC row grid,
+one row of C channels per position, where each kernel tap is one GEMM on
+a contiguous row slice; max pooling takes a running maximum over the k*k
+strided views of its input; LRN runs one image at a time on reused
+(c, h, w) buffers. ``KINDS`` holds one row
 per kind: its token and options in architecture strings, and its
 ``realize``, which gives its validated config, output dims and parameter
 shapes for a given input.
@@ -290,10 +293,12 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4, Tenso
 # ---------------------------------------------------------------------------
 # relu
 
-def relu_forward(x: Tensor4) -> tuple[Tensor4, np.ndarray]:
-    """max(0, x); cache is the positive mask (gradient at exactly 0 is 0)."""
-    mask = x.data > 0
-    return Tensor4(np.where(mask, x.data, 0.0).astype(x.data.dtype, copy=False)), mask
+def relu_forward(x: Tensor4, mode: Mode = Mode.TRAIN) -> tuple[Tensor4, np.ndarray | None]:
+    """max(0, x), with +0 for -0 and for NaN; the train-mode cache is the
+    positive mask (gradient at exactly 0 is 0), test mode caches nothing."""
+    out = np.fmax(x.data, 0)  # fmax maps NaN to 0
+    out += 0  # -0 -> +0
+    return Tensor4(out), (x.data > 0 if mode is Mode.TRAIN else None)
 
 
 def relu_backward(mask: np.ndarray, grad_out: Tensor4) -> Tensor4:
@@ -387,53 +392,81 @@ class LrnCache(NamedTuple):
     cfg: LrnConfig
 
 
-def _channel_window_sum(a: np.ndarray, n: int) -> np.ndarray:
-    """Sum over the clamped channel window [i - n//2, i + n//2]."""
-    half = n // 2
-    padded = np.pad(a, ((0, 0), (half, half), (0, 0), (0, 0)))
-    c = a.shape[1]
-    out = np.zeros_like(a)
-    for d in range(n):
-        out += padded[:, d:d + c]
+def _channel_window_sum(a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """out[j] = sum of a[j + d] over the window d in [-n//2, n//2], added in
+    window order into a zeroed ``out``, for one (c, h, w) image; terms
+    beyond the channel edges are skipped, as adding +0 to a sum that
+    starts at +0 changes no bit."""
+    half, c = n // 2, a.shape[0]
+    out.fill(0)
+    for d in range(-half, half + 1):
+        lo, hi = max(0, -d), min(c, c - d)
+        if lo < hi:
+            out[lo:hi] += a[lo + d:hi + d]
     return out
 
 
-def lrn_forward(x: Tensor4, cfg: LrnConfig) -> tuple[Tensor4, LrnCache]:
+def lrn_forward(x: Tensor4, cfg: LrnConfig,
+                mode: Mode = Mode.TRAIN) -> tuple[Tensor4, LrnCache | None]:
     """b[i] = a[i] / (k + alpha * sum_{j in window(i)} a[j]^2)^beta,
-    window spanning n channels centered on i, clamped at the edges."""
+    window spanning n channels centered on i, clamped at the edges.
+    Runs one image at a time on two reused (c, h, w) buffers; only train
+    mode caches the scale (the bracketed denominator) for backward."""
     a = x.data
-    scale = cfg.k + cfg.alpha * _channel_window_sum(a * a, cfg.n)
-    out = a * scale ** (-cfg.beta)
-    return Tensor4(out.astype(a.dtype, copy=False)), LrnCache(a, scale, cfg)
+    out = np.empty_like(a)
+    scale = np.empty_like(a) if mode is Mode.TRAIN else None
+    sq, acc = np.empty_like(a[0]), np.empty_like(a[0])
+    for i in range(a.shape[0]):
+        np.multiply(a[i], a[i], out=sq)
+        _channel_window_sum(sq, cfg.n, acc)
+        acc *= cfg.alpha
+        acc += cfg.k
+        if scale is not None:
+            scale[i] = acc
+        acc **= -cfg.beta  # as scale ** -beta: NumPy may route some exponents to other ufuncs
+        np.multiply(a[i], acc, out=out[i])
+    return Tensor4(out), (LrnCache(a, scale, cfg) if scale is not None else None)
 
 
 def lrn_backward(cache: LrnCache, grad_out: Tensor4) -> Tensor4:
+    """grad_x = g * scale^-beta - 2*alpha*beta * a * window_sum(g * a * scale^(-beta-1)),
+    one image at a time."""
     if cache is None:
         raise StateError("lrn backward called without cached forward state")
     a, scale, cfg = cache
     if grad_out.dims != a.shape:
         raise ShapeError(f"grad_out dims {grad_out.dims} != forward dims {a.shape}")
     g = grad_out.data
-    inner = _channel_window_sum(g * a * scale ** (-cfg.beta - 1.0), cfg.n)
-    gx = g * scale ** (-cfg.beta) - 2.0 * cfg.alpha * cfg.beta * a * inner
-    return Tensor4(gx.astype(a.dtype, copy=False))
+    gx = np.empty_like(a)
+    term = np.empty(a.shape[1:], dtype=np.result_type(g, a))
+    inner = np.empty_like(term)
+    coef = 2.0 * cfg.alpha * cfg.beta
+    for i in range(a.shape[0]):
+        np.multiply(g[i], a[i], out=term)
+        term *= scale[i] ** (-cfg.beta - 1.0)
+        _channel_window_sum(term, cfg.n, inner)
+        np.multiply(a[i], coef, out=term)
+        term *= inner
+        np.multiply(g[i], scale[i] ** (-cfg.beta), out=inner)
+        np.subtract(inner, term, out=gx[i])
+    return Tensor4(gx)
 
 
 # ---------------------------------------------------------------------------
 # dropout
 
 def dropout_apply(x: Tensor4, cfg: DropoutConfig, mode: Mode,
-                  rng: np.random.Generator | None = None) -> tuple[Tensor4, np.ndarray]:
+                  rng: np.random.Generator | None = None) -> tuple[Tensor4, np.ndarray | None]:
     """Train: zero each element independently with probability p (mask
-    records kept positions). Test: scale everything by (1 - p), mask of
-    ones. One uniform draw per element per training call."""
+    records kept positions). Test: scale everything by (1 - p), no mask.
+    One uniform draw per element per training call."""
     if mode is Mode.TRAIN:
         if rng is None:
             raise ValueError("dropout in train mode needs an rng")
         mask = rng.random(size=x.dims) >= cfg.p
         return Tensor4(x.data * mask), mask
     out = x.data * (1.0 - cfg.p)
-    return Tensor4(out.astype(x.data.dtype, copy=False)), np.ones(x.dims, dtype=bool)
+    return Tensor4(out.astype(x.data.dtype, copy=False)), None
 
 
 def dropout_backward(mask: np.ndarray, grad_out: Tensor4) -> Tensor4:

@@ -80,11 +80,11 @@ def _named(grads):
 #: time, so a wrapper installed on ``trainer.<kernel>`` sees every call.
 DISPATCH = {
     "conv": (_conv_forward, lambda cache, g: _named(conv2d_backward(cache, g))),
-    "relu": (lambda node, x, mode, rng: relu_forward(x),
+    "relu": (lambda node, x, mode, rng: relu_forward(x, mode),
              lambda cache, g: (relu_backward(cache, g), {})),
     "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
                 lambda cache, g: (maxpool_backward(cache, g), {})),
-    "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg),
+    "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg, mode),
             lambda cache, g: (lrn_backward(cache, g), {})),
     "dropout": (lambda node, x, mode, rng: dropout_apply(x, node.cfg, mode, rng),
                 lambda cache, g: (dropout_backward(cache, g), {})),

@@ -273,6 +273,29 @@ class TestTrainEvalPredict:
         rest_rows = (tmp_path / "rest" / "history.csv").read_text().splitlines()
         assert rest_rows[1] == full_rows[2]
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"arch": "IMG-(Conv16-ReLU-MaxPool)-(FC64-ReLU-FC2)-Softmax", "precision": "float32"},
+         ["arch = IMG-Conv16-ReLU-MaxPool-FC64-ReLU-FC2-Softmax",
+          "IMG-Conv2-ReLU-MaxPool-FC8-ReLU-FC2-Softmax"]),
+        ({"precision": "float32"}, ["precision = float32", "float64"]),
+        ({"resize": 8}, ["resize = 8", "(3, 8, 8)", "(3, 12, 12)"]),
+    ])
+    def test_resume_into_another_net_is_usage_error(self, tmp_path, dataset_dir, capsys,
+                                                    overrides, named):
+        _, manifest = dataset_dir
+        half_cfg = write_config(tmp_path / "half.cfg", manifest, tmp_path / "half",
+                                max_iterations=10, eval_every=10, checkpoint_every=10)
+        assert main(["train", "--config", str(half_cfg)]) == 0
+        capsys.readouterr()
+        resumed_cfg = write_config(
+            tmp_path / "rest.cfg", manifest, tmp_path / "rest", max_iterations=20,
+            eval_every=10, resume=str(tmp_path / "half" / "checkpoint_10.ckpt"), **overrides)
+        assert main(["train", "--config", str(resumed_cfg)]) == 1
+        err = capsys.readouterr().err
+        for text in named:
+            assert text in err
+        assert not (tmp_path / "rest").exists()
+
     @pytest.mark.parametrize("every", [15, 5, -10])
     def test_checkpoint_every_off_the_evaluations_is_usage_error(
             self, tmp_path, dataset_dir, capsys, every):

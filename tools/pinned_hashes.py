@@ -1,0 +1,91 @@
+"""Rebuild the three pinned training runs and check their bytes.
+
+    PYTHONPATH=src python tools/pinned_hashes.py
+
+A change that must not alter what microvoc computes keeps the sha256 of
+``history.csv`` and ``model.ckpt`` of these runs:
+
+- c06: the c06 acceptance net, ``bar_dataset(500, 32, seed=0)``, seed 1,
+  600 iterations, evaluation every 100;
+- c10: the c10 acceptance net, ``bar_dataset(40, 16, seed=8)``, seed 21,
+  60 iterations, evaluation every 10;
+- M3: the M3 preset in float32 at 32x32, ``bar_dataset(53, 32, seed=1)``,
+  seed 1, 4 iterations, evaluation every 2.
+
+Each ``model.ckpt`` holds the Adam state, the scheduler, the alpha of the
+last evaluation and zero channel means. The script prints both hashes of
+each run and exits 1 if any differs from its pinned value.
+
+This is not a CI gate: GEMM results depend on the BLAS library and the
+CPU (its kernels pick their blocking and instructions by CPU), so the
+pinned values hold on the host they were measured on (x86-64, NumPy 2.4.6,
+OpenBLAS 0.3.31). Compare a change with its parent on one host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from synthdata import bar_dataset  # noqa: E402
+
+from microvoc import archdsl  # noqa: E402
+from microvoc.optim import AdamState, PlateauScheduler  # noqa: E402
+from microvoc.trainer import TrainConfig, save_checkpoint, train  # noqa: E402
+
+#: name -> (dataset, config, pinned history.csv sha256, pinned model.ckpt sha256)
+RUNS = {
+    "c06": (lambda: bar_dataset(500, 32, seed=0),
+            TrainConfig(arch="IMG-(Conv8-ReLU-MaxPool)-(FC32-ReLU-FC2)-Softmax",
+                        max_iterations=600, eval_every=100, seed=1),
+            "0f396431032e96852abbd5b3103b2bedcdfcaafebccd367b679237e29b16a964",
+            "9740abb184bb48add4396149a981defb481655216e57d6a6cee877545789557e"),
+    "c10": (lambda: bar_dataset(40, 16, seed=8),
+            TrainConfig(arch="IMG-(Conv4-ReLU-MaxPool)-(FC16-ReLU-FC2)-Softmax",
+                        max_iterations=60, eval_every=10, seed=21),
+            "163253f0b3e4e289452b1cfd65ce7bf3d4981ff9cb25218c59f9ec0201842622",
+            "f016a1126c21f2ab9481f89135804fccdecaf1289ad7bd273d8b803d4b49c819"),
+    "M3": (lambda: bar_dataset(53, 32, seed=1),
+           TrainConfig(arch=archdsl.resolve_arch("M3"), dtype="float32",
+                       max_iterations=4, eval_every=2, seed=1),
+           "3cc8c374ede4938262c610eba3ec2b3f6a721fc0057c0cbf83b9fd3e404b8a67",
+           "0e15b7b88f9069e77df7e6917cf5eba037e31468dc8a66cf864d84a3a603084f"),
+}
+
+
+def run_hashes(make_dataset, config: TrainConfig, out: Path) -> tuple[str, str]:
+    """Train one run, write its history.csv and model.ckpt into ``out``
+    and return their sha256."""
+    state, sched, events = AdamState(), PlateauScheduler(config.scheduler), []
+    net, history = train(config, make_dataset(), adam_state=state, scheduler=sched,
+                         on_eval=events.append)
+    history.to_csv(out / "history.csv")
+    save_checkpoint(out / "model.ckpt", net, state, iteration=config.max_iterations,
+                    alpha=events[-1].next_alpha, scheduler=sched, channel_means=np.zeros(3))
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("history.csv", "model.ckpt"))
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (make_dataset, config, *pinned) in RUNS.items():
+            out = Path(tmp) / name
+            out.mkdir()
+            for what, got, want in zip(("history.csv", "model.ckpt"),
+                                       run_hashes(make_dataset, config, out), pinned):
+                ok = got == want
+                bad += not ok
+                print(f"{name} {what} {got} {'ok' if ok else 'MISMATCH, pinned ' + want}",
+                      flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
