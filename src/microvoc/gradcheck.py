@@ -148,7 +148,7 @@ def check_network(seed: int = 0) -> float:
 
     logits = net.forward(x, Mode.TRAIN)
     _, _, grad_logits = softmax_cross_entropy(logits, labels)
-    grads = net.backward(grad_logits)
+    grads = net.backward(grad_logits, input_grad=True)
 
     pairs = [(grads[key].data, p.data) for key, p in net.param_dict().items()]
     return _worst(loss, pairs + [(net._grad_input.data, x.data)])

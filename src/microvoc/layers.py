@@ -4,12 +4,19 @@ Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
 upstream gradient into input/parameter gradients. ReLU, LRN and dropout
 take the ``Mode``: in test mode they cache nothing (``None``), as only
-backward reads a cache. Every kernel takes and returns NCHW tensors.
-Inside, conv works on the zero-padded input laid out as an NHWC row grid,
-one row of C channels per position, where each kernel tap is one GEMM on
-a contiguous row slice; max pooling takes a running maximum over the k*k
-strided views of its input; LRN runs one image at a time on reused
-(c, h, w) buffers. ``KINDS`` holds one row
+backward reads a cache. Conv's forward builds nothing that only backward
+reads (its cache refers to the input), so it works the same in both
+modes and the trainer drops its cache in test mode. Every kernel takes
+and returns NCHW tensors. Inside, conv works on the zero-padded input
+laid out as an NHWC row grid, one row of C channels per position, where
+each kernel tap is one GEMM on a contiguous row slice; its forward runs
+on blocks of whole images of about CONV_BLOCK_ROWS grid rows, each
+padded into one reused block-sized grid, so a block's GEMM operands,
+accumulator and tap term stay in cache and nothing the size of the
+padded batch is built; its backward pads the whole batch once. Max
+pooling takes a running maximum over the k*k strided views of its
+input; LRN runs one image at a time on reused (c, h, w) buffers.
+``KINDS`` holds one row
 per kind: its token and options in architecture strings, and its
 ``realize``, which gives its validated config, output dims and parameter
 shapes for a given input.
@@ -183,11 +190,19 @@ def realize(spec, in_dims: tuple[int, int, int]) -> Realized:
 # ---------------------------------------------------------------------------
 # convolution
 
+#: padded-grid rows per conv forward block; a block is whole images, at
+#: least one. M4's test-mode forward at 32x32 in float32, batch 256, took
+#: (median of 4, 2 vCPU) 1.37-1.41 s for 1024 to 8192 rows, 1.45 s for
+#: 16384, 1.73 s for 65536 and 2.09 s as one block of the whole batch.
+CONV_BLOCK_ROWS = 2048
+
+
 class ConvCache(NamedTuple):
-    x_grid: np.ndarray  # zero-padded input, NHWC (n, h + 2*pad, w + 2*pad, c)
+    x: np.ndarray  # the forward input (n, c, h, w), not a copy
     x_dims: tuple
     weights: np.ndarray  # (f, c, kh, kw), in the input's dtype
     cfg: ConvConfig
+    input_grad: bool = True  # False: backward returns None for grad_input
 
 
 def _tap_offsets(kh: int, kw: int, grid_w: int) -> list[int]:
@@ -196,18 +211,26 @@ def _tap_offsets(kh: int, kw: int, grid_w: int) -> list[int]:
 
 
 def _shifted_gemms(rows: np.ndarray, mats: np.ndarray, offsets: list[int],
-                   length: int, total: int) -> np.ndarray:
-    """acc[r] = sum_t rows[r + offsets[t]] @ mats[t] for r < length, summed
-    in tap order; each term is one GEMM on a contiguous row slice. The
-    result has ``total`` rows; rows from ``length`` on are left unset."""
-    acc = np.empty((total, mats.shape[2]), dtype=np.result_type(rows, mats))
-    head = acc[:length]
-    np.matmul(rows[offsets[0]:offsets[0] + length], mats[0], out=head)
-    term = np.empty_like(head)
+                   acc: np.ndarray, term: np.ndarray) -> None:
+    """acc[r] = sum_t rows[r + offsets[t]] @ mats[t] for r < len(acc), summed
+    in tap order; each term is one GEMM on a contiguous row slice into the
+    scratch ``term``, shaped like ``acc``."""
+    length = len(acc)
+    np.matmul(rows[offsets[0]:offsets[0] + length], mats[0], out=acc)
     for off, mat in zip(offsets[1:], mats[1:]):
         np.matmul(rows[off:off + length], mat, out=term)
-        head += term
-    return acc
+        acc += term
+
+
+def _pad_into(grid: np.ndarray, x: np.ndarray, p: int) -> None:
+    """Lay x (n, c, h, w) out as NHWC in the middle of grid (n, h + 2p,
+    w + 2p, c) and zero the pad border around it."""
+    h, w = x.shape[2:]
+    grid[:, :p] = 0
+    grid[:, p + h:] = 0
+    grid[:, p:p + h, :p] = 0
+    grid[:, p:p + h, p + w:] = 0
+    grid[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
 
 
 def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
@@ -218,8 +241,15 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
 
     The padded input is laid out as NHWC rows, one per grid position, so
     tap (u, v) reads the rows u*Wp + v further on: the stride-1 result on
-    the whole grid is kh*kw shifted GEMMs, of which the output keeps every
-    s-th valid position.
+    the grid is kh*kw shifted GEMMs, of which the output keeps every s-th
+    valid position. The batch runs in blocks of whole images, at least
+    one, of about CONV_BLOCK_ROWS grid rows: each block is padded into one
+    reused block-sized grid, its GEMMs run into one reused accumulator and
+    tap term, and its valid positions plus the bias go straight into the
+    NCHW output, so a block's working set stays in cache and no array
+    the size of the whole padded batch is built. The cache holds the
+    input itself, not a copy, for backward; the trainer's test-mode
+    adapter drops it.
     """
     n, c, h, w = x.dims
     f, wc, kh, kw = weights.dims
@@ -235,32 +265,41 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
     hp, wp = h + 2 * p, w + 2 * p
 
     dtype = x.data.dtype
-    grid = np.zeros((n, hp, wp, c), dtype=dtype)
-    grid[:, p:p + h, p:p + w] = x.data.transpose(0, 2, 3, 1)
     wd = weights.data.astype(dtype, copy=False)
+    mats = wd.transpose(2, 3, 1, 0).reshape(kh * kw, c, f)
+    b = bias.data.astype(dtype, copy=False).reshape(1, f, 1, 1)
     taps = _tap_offsets(kh, kw, wp)
-    rows = n * hp * wp
-    acc = _shifted_gemms(grid.reshape(rows, c), wd.transpose(2, 3, 1, 0).reshape(kh * kw, c, f),
-                         taps, rows - taps[-1], rows)
-    valid = acc.reshape(n, hp, wp, f)[:, :s * ho:s, :s * wo:s].transpose(0, 3, 1, 2)
+    per = min(n, max(1, CONV_BLOCK_ROWS // (hp * wp)))  # images per block
+    grid = np.empty((per, hp, wp, c), dtype=dtype)
+    acc = np.empty((per * hp * wp, f), dtype=dtype)
+    term = np.empty((per * hp * wp - taps[-1], f), dtype=dtype)
     out = np.empty((n, f, ho, wo), dtype=dtype)
-    np.add(valid, bias.data.astype(dtype, copy=False).reshape(1, f, 1, 1), out=out)
-    return Tensor4(out), ConvCache(grid, x.dims, wd, cfg)
+    for i0 in range(0, n, per):
+        nb = min(per, n - i0)
+        _pad_into(grid[:nb], x.data[i0:i0 + nb], p)
+        rows = nb * hp * wp
+        length = rows - taps[-1]
+        _shifted_gemms(grid[:nb].reshape(rows, c), mats, taps, acc[:length], term[:length])
+        valid = acc[:rows].reshape(nb, hp, wp, f)[:, :s * ho:s, :s * wo:s]
+        np.add(valid.transpose(0, 3, 1, 2), b, out=out[i0:i0 + nb])
+    return Tensor4(out), ConvCache(x.data, x.dims, wd, cfg)
 
 
-def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4, Tensor4, Tensor4]:
-    """Return (grad_input, grad_weights, grad_bias).
+def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None, Tensor4, Tensor4]:
+    """Return (grad_input, grad_weights, grad_bias); grad_input is None
+    when ``cache.input_grad`` is False.
 
+    grad_w[:, :, u, v] is one (f x K)(K x c) GEMM over the K output
+    positions, on the zero-padded input as an NHWC grid, built here for
+    the whole batch.
     grad_x is the forward's shifted GEMMs run backwards: the gradient sits
     on the padded grid (zero off the output positions, with (kh-1)*Wp +
     kw-1 rows of zeros ahead of it), and tap (u, v) reads it u*Wp + v rows
     back.
-    grad_w[:, :, u, v] is one (f x K)(K x c) GEMM over the K output
-    positions.
     """
     if cache is None:
         raise StateError("conv backward called without cached forward state")
-    grid, x_dims, wd, cfg = cache
+    x, x_dims, wd, cfg, input_grad = cache
     n, c, h, w = x_dims
     f, _, kh, kw = wd.shape
     s, p = cfg.stride, cfg.pad
@@ -268,7 +307,9 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4, Tenso
     ho, wo = go.shape[2], go.shape[3]
     if go.shape != (n, f, ho, wo) or ho != conv_out_dim(h, kh, s, p) or wo != conv_out_dim(w, kw, s, p):
         raise ShapeError(f"grad_out dims {go.shape} do not match forward output")
-    hp, wp = grid.shape[1], grid.shape[2]
+    hp, wp = h + 2 * p, w + 2 * p
+    grid = np.empty((n, hp, wp, c), dtype=x.dtype)
+    _pad_into(grid, x, p)
 
     grad_b = go.sum(axis=(0, 2, 3)).reshape(1, f, 1, 1)
     go_fk = go.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
@@ -277,14 +318,17 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4, Tenso
         for v in range(kw):
             patch = grid[:, u:u + s * ho:s, v:v + s * wo:s].reshape(n * ho * wo, c)
             grad_w[:, :, u, v] = go_fk @ patch
-    del go_fk
+    del go_fk, grid
+    if not input_grad:
+        return None, Tensor4(grad_w), Tensor4(grad_b)
 
     taps = _tap_offsets(kh, kw, wp)
     lead, rows = taps[-1], n * hp * wp
-    go_grid = np.zeros((lead + rows, f), dtype=grid.dtype)
+    go_grid = np.zeros((lead + rows, f), dtype=x.dtype)
     go_grid[lead:].reshape(n, hp, wp, f)[:, :s * ho:s, :s * wo:s] = go.transpose(0, 2, 3, 1)
-    acc = _shifted_gemms(go_grid, wd.transpose(2, 3, 0, 1).reshape(kh * kw, f, c),
-                         [lead - t for t in taps], rows, rows)
+    acc = np.empty((rows, c), dtype=x.dtype)
+    _shifted_gemms(go_grid, wd.transpose(2, 3, 0, 1).reshape(kh * kw, f, c),
+                   [lead - t for t in taps], acc, np.empty_like(acc))
     del go_grid
     gx = np.ascontiguousarray(acc.reshape(n, hp, wp, c)[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
     return Tensor4(gx), Tensor4(grad_w), Tensor4(grad_b)

@@ -61,7 +61,14 @@ class LayerNode:
 
 
 def _conv_forward(node, x, mode, rng):
-    return conv2d_forward(x, node.params["w"], node.params["b"], node.cfg)
+    out, cache = conv2d_forward(x, node.params["w"], node.params["b"], node.cfg)
+    return out, (cache if mode is Mode.TRAIN else None)
+
+
+def _conv_backward(cache, g, input_grad=True):
+    if cache is not None and not input_grad:
+        cache = cache._replace(input_grad=False)
+    return _named(conv2d_backward(cache, g))
 
 
 def _fc_forward(node, x, mode, rng):
@@ -75,23 +82,27 @@ def _named(grads):
 
 
 #: kind -> (forward(node, x, mode, rng) -> (output, cache),
-#:          backward(cache, grad_out) -> (grad_input, {param name: grad})).
-#: The adapters look the kernels up by their names in this module at call
-#: time, so a wrapper installed on ``trainer.<kernel>`` sees every call.
+#:          backward(cache, grad_out, input_grad=True) -> (grad_input, {param name: grad})).
+#: A test-mode forward returns no cache. Backward may skip grad_input (and
+#: return None for it) when ``input_grad`` is False; only conv does. The
+#: adapters look the kernels up by their names in this module at call
+#: time, so a wrapper installed on ``trainer.<kernel>`` sees every call;
+#: they call each kernel with its own arguments only, so the mode and the
+#: input-gradient switch of conv do not reach its argument list.
 DISPATCH = {
-    "conv": (_conv_forward, lambda cache, g: _named(conv2d_backward(cache, g))),
+    "conv": (_conv_forward, _conv_backward),
     "relu": (lambda node, x, mode, rng: relu_forward(x, mode),
-             lambda cache, g: (relu_backward(cache, g), {})),
+             lambda cache, g, input_grad=True: (relu_backward(cache, g), {})),
     "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
-                lambda cache, g: (maxpool_backward(cache, g), {})),
+                lambda cache, g, input_grad=True: (maxpool_backward(cache, g), {})),
     "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg, mode),
-            lambda cache, g: (lrn_backward(cache, g), {})),
+            lambda cache, g, input_grad=True: (lrn_backward(cache, g), {})),
     "dropout": (lambda node, x, mode, rng: dropout_apply(x, node.cfg, mode, rng),
-                lambda cache, g: (dropout_backward(cache, g), {})),
-    "fc": (_fc_forward, lambda cache, g: _named(fc_backward(cache, g))),
+                lambda cache, g, input_grad=True: (dropout_backward(cache, g), {})),
+    "fc": (_fc_forward, lambda cache, g, input_grad=True: _named(fc_backward(cache, g))),
     # a marker: the loss applies the softmax, and its gradient is already
     # with respect to the logits
-    "softmax": (lambda node, x, mode, rng: (x, ()), lambda cache, g: (g, {})),
+    "softmax": (lambda node, x, mode, rng: (x, ()), lambda cache, g, input_grad=True: (g, {})),
 }
 
 
@@ -105,7 +116,7 @@ class Network:
         self.dtype = np.dtype(dtype)
         self.mode = Mode.TEST
         self.rng = np.random.default_rng([seed, _STREAM_FREE])
-        self._grad_input: Tensor4 | None = None  # set by backward
+        self._grad_input: Tensor4 | None = None  # set by backward(input_grad=True)
 
     def param_dict(self, trainable_only: bool = False) -> dict[str, Tensor4]:
         out: dict[str, Tensor4] = {}
@@ -132,9 +143,12 @@ class Network:
             node.cache = cache if mode is Mode.TRAIN else None
         return x
 
-    def backward(self, grad_logits: Tensor4) -> dict[str, Tensor4]:
+    def backward(self, grad_logits: Tensor4, input_grad: bool = False) -> dict[str, Tensor4]:
         """Chain layer backwards in reverse order; returns parameter
-        gradients keyed like param_dict. Consumes the cached forward."""
+        gradients keyed like param_dict. Consumes the cached forward.
+        The gradient with respect to the network's input is kept in
+        ``_grad_input`` only when ``input_grad`` is set; otherwise the
+        first layer may skip computing it and ``_grad_input`` is None."""
         if self.mode is not Mode.TRAIN:
             raise StateError("backward requires a cached train-mode forward")
         grads: dict[str, Tensor4] = {}
@@ -143,12 +157,12 @@ class Network:
             node = self.nodes[i]
             if node.cache is None:
                 raise StateError(f"layer {i} ({node.spec.kind}) has no cached forward state")
-            g, node.grads = DISPATCH[node.spec.kind][1](node.cache, g)
+            g, node.grads = DISPATCH[node.spec.kind][1](node.cache, g, input_grad or i > 0)
             for name, gt in node.grads.items():
                 grads[f"{i}.{name}"] = gt
             node.cache = None
         self.mode = Mode.TEST
-        self._grad_input = g
+        self._grad_input = g if input_grad else None
         return grads
 
 
@@ -233,6 +247,8 @@ def evaluate(net: Network, samples: list[Sample], batch_size: int = 256) -> floa
     first (lowest) class index."""
     if not samples:
         raise ValueError("cannot evaluate an empty split")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     correct = 0
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microvoc import layers
 from microvoc.archdsl import parse
 from microvoc.errors import ShapeError, StateError
 from microvoc.layers import (
@@ -25,7 +27,7 @@ from microvoc.layers import (
     softmax_cross_entropy,
 )
 from microvoc.tensor import Tensor4
-from microvoc.trainer import DISPATCH, build
+from microvoc.trainer import DISPATCH, LayerNode, build
 
 
 def t4(values, dims):
@@ -130,6 +132,99 @@ class TestConvGeometries:
             assert got.data.shape == want.shape
             assert got.data.flags.c_contiguous
             np.testing.assert_allclose(got.data, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("n, h, w, k, stride, pad, block_rows, dtype", [
+        # 100 grid rows an image: 20 images a block, the last block holds 5
+        (45, 8, 8, 3, 1, 1, None, np.float32),
+        # 1764 rows an image, one image a block
+        (3, 40, 40, 3, 1, 1, None, np.float64),
+        # blocks of 3, 3 and 1 images on a non-square strided geometry
+        (7, 7, 10, 3, 3, 1, 3 * 9 * 12 + 5, np.float64),
+        # an image of 117 rows against blocks of 50: one image a block
+        (4, 9, 13, 3, 2, 0, 50, np.float32),
+    ])
+    def test_blocks_in_both_modes(self, n, h, w, k, stride, pad, block_rows, dtype,
+                                  monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(layers, "CONV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(n * 1000 + h * 10 + w)
+        c, f = 3, 5
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        wt = rng.standard_normal((f, c, k, k)).astype(dtype)
+        b = rng.standard_normal((1, f, 1, 1)).astype(dtype)
+        node = LayerNode(None, ConvConfig(f, (k, k), stride, pad),
+                         {"w": Tensor4(wt), "b": Tensor4(b)})
+        forward, backward = DISPATCH["conv"]
+        out, cache = forward(node, Tensor4(x), Mode.TRAIN, None)
+        test_out, test_cache = forward(node, Tensor4(x), Mode.TEST, None)
+        assert test_cache is None
+        assert test_out.data.tobytes() == out.data.tobytes()
+        g = rng.standard_normal(out.dims).astype(dtype)
+        gx, grads = backward(cache, Tensor4(g))
+        ref = _conv_reference(x, wt, b, stride, pad, g)
+        tol = 1e-4 if dtype == np.float32 else 1e-11
+        for got, want in zip((out, gx, grads["w"], grads["b"]), ref):
+            assert got.data.dtype == dtype
+            np.testing.assert_allclose(got.data, want, rtol=tol, atol=tol)
+
+    def test_train_cache_holds_the_input_and_backward_pads_it(self):
+        rng = np.random.default_rng(31)
+        x = Tensor4(rng.standard_normal((3, 2, 5, 7)))
+        _, cache = conv2d_forward(x, Tensor4(rng.standard_normal((4, 2, 3, 3))),
+                                  Tensor4.new((1, 4, 1, 1)), ConvConfig(4, (3, 3), 1, 2))
+        assert cache.x is x.data  # a reference, not a copy
+        assert cache.x_dims == (3, 2, 5, 7)
+        grid = np.full((3, 9, 11, 2), np.nan)
+        layers._pad_into(grid, cache.x, 2)
+        want = np.pad(x.data.transpose(0, 2, 3, 1), ((0, 0), (2, 2), (2, 2), (0, 0)))
+        assert grid.tobytes() == want.tobytes()
+
+    def test_backward_without_input_gradient(self):
+        rng = np.random.default_rng(32)
+        x = Tensor4(rng.standard_normal((2, 3, 6, 6)))
+        _, cache = conv2d_forward(x, Tensor4(rng.standard_normal((4, 3, 3, 3))),
+                                  Tensor4.new((1, 4, 1, 1)), ConvConfig(4))
+        g = Tensor4(rng.standard_normal((2, 4, 6, 6)))
+        gx, gw, gb = conv2d_backward(cache, g)
+        none, gw_only, gb_only = conv2d_backward(cache._replace(input_grad=False), g)
+        assert gx.dims == x.dims and none is None
+        assert gw_only.data.tobytes() == gw.data.tobytes()
+        assert gb_only.data.tobytes() == gb.data.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_blocked_forward_matches_whole_batch(data):
+    """Any block size gives the whole-batch forward (one block holding
+    every image) within rounding: the blocks change only the GEMMs' row
+    counts, and on some BLAS libraries that changes the last bits."""
+    k = data.draw(st.integers(1, 4), "k")
+    stride = data.draw(st.integers(1, 3), "stride")
+    pad = data.draw(st.integers(0, 2), "pad")
+    c = data.draw(st.sampled_from([1, 2, 3, 8]), "c")
+    f = data.draw(st.sampled_from([1, 3, 4, 9]), "f")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), "dtype")
+    n = data.draw(st.integers(1, 7), "n")
+    ho = data.draw(st.integers(1, 4), "ho")
+    wo = data.draw(st.integers(1, 4), "wo")
+    h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+    if h < 1 or w < 1:
+        h, w, pad = (ho - 1) * stride + k, (wo - 1) * stride + k, 0
+    block_rows = data.draw(st.integers(1, 3 * (h + 2 * pad) * (w + 2 * pad)), "block_rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    args = (Tensor4(rng.standard_normal((n, c, h, w)).astype(dtype)),
+            Tensor4(rng.standard_normal((f, c, k, k)).astype(dtype)),
+            Tensor4(rng.standard_normal((1, f, 1, 1)).astype(dtype)),
+            ConvConfig(f, (k, k), stride, pad))
+    with mock.patch.object(layers, "CONV_BLOCK_ROWS", 2**62):
+        whole, _ = conv2d_forward(*args)
+    with mock.patch.object(layers, "CONV_BLOCK_ROWS", block_rows):
+        blocked, cache = conv2d_forward(*args)
+    assert blocked.dims == whole.dims == (n, f, ho, wo)
+    assert blocked.data.dtype == dtype and blocked.data.flags.c_contiguous
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    np.testing.assert_allclose(blocked.data, whole.data, rtol=tol, atol=tol)
+    assert cache.x is args[0].data
 
 
 class TestRelu:
@@ -362,7 +457,7 @@ def test_lrn_matches_reference_bytes(dtype, batch, n, c, h, w, k, alpha, beta, s
 def test_test_mode_adapters_cache_nothing():
     net = build(parse("IMG-Conv3-ReLU-LRN[n=3]-Dropout-FC2-Softmax", (3, 4, 4)))
     x = Tensor4(np.random.default_rng(8).standard_normal((2, 3, 4, 4)))
-    for node in net.nodes[1:4]:
+    for node in net.nodes[:4]:
         x, cache = DISPATCH[node.spec.kind][0](node, x, Mode.TEST, None)
         assert cache is None, node.spec.kind
 

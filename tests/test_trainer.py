@@ -128,6 +128,22 @@ class TestBackward:
         assert all(n.frozen for n in with_params)
         assert all(n.grads for n in with_params)  # still computed
 
+    @pytest.mark.parametrize("arch", [SMALL_ARCH, "IMG-(FC16-ReLU-FC4)-Softmax"])
+    def test_input_gradient_only_on_request(self, arch):
+        def run(**kwargs):
+            net = build(archdsl.parse(arch, (3, 16, 16)), seed=3)
+            logits = net.forward(random_batch(seed=4), Mode.TRAIN)
+            g = Tensor4(np.random.default_rng(5).standard_normal(logits.dims))
+            return net, net.backward(g, **kwargs)
+
+        net_off, grads_off = run()
+        net_on, grads_on = run(input_grad=True)
+        assert net_off._grad_input is None
+        assert net_on._grad_input.dims == (4, 3, 16, 16)
+        assert grads_off.keys() == grads_on.keys()
+        for key in grads_on:  # parameter gradients do not depend on the switch
+            assert grads_off[key].data.tobytes() == grads_on[key].data.tobytes(), key
+
 
 class TestFreezeAndReinit:
     def test_freeze_all_training_is_noop_on_params(self):
@@ -248,6 +264,13 @@ class TestEvaluate:
         net = small_net()
         with pytest.raises(ValueError):
             evaluate(net, [])
+
+    @pytest.mark.parametrize("batch_size", [0, -1, -256])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        net = small_net()
+        samples = [Sample(random_batch(n=1, seed=i), 0, f"s{i}") for i in range(3)]
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate(net, samples, batch_size=batch_size)
 
 
 class TestCheckpoint:
