@@ -5,6 +5,11 @@ resolution, reduce multi-label records to one label, split 60:40 into
 train/val, subtract the train split's per-channel means from both
 splits. Augmentation (flip + random crops, a 5x expansion) applies to
 the train split only and preserves labels.
+
+The expansion stores no pixels: each flip and crop is a ``View`` of its
+source sample (the crop offsets are drawn up front), and
+``stack_pixels`` builds a batch's flips and crops when the batch is
+assembled. Memory stays that of the un-augmented split.
 """
 
 from __future__ import annotations
@@ -31,16 +36,36 @@ class Sample:
 
 @dataclass
 class Dataset:
-    samples: list[Sample]
+    samples: list[Sample | View]
     split: list[str]  # 'train' or 'val', aligned with samples
     channel_means: np.ndarray | None = None  # set by mean_subtract
     class_names: list[str] = field(default_factory=list)
 
-    def train_samples(self) -> list[Sample]:
+    def train_samples(self) -> list[Sample | View]:
         return [s for s, tag in zip(self.samples, self.split) if tag == "train"]
 
-    def val_samples(self) -> list[Sample]:
+    def val_samples(self) -> list[Sample | View]:
         return [s for s, tag in zip(self.samples, self.split) if tag == "val"]
+
+
+@dataclass(frozen=True)
+class View:
+    """An augmented train entry that stores no pixels: its source
+    sample's image mirrored (``window`` None), or cropped to ``window`` =
+    (oy, ox, height, width) and resized back to the source resolution."""
+
+    source: Sample
+    id: str
+    window: tuple[int, int, int, int] | None = None
+
+    @property
+    def label(self) -> int:
+        return self.source.label
+
+    @property
+    def image(self) -> Tensor4:
+        """The (1, c, h, w) pixels, built on demand."""
+        return Tensor4(stack_pixels([self]))
 
 
 def _id_stream(seed: int, sample_id: str) -> np.random.Generator:
@@ -86,37 +111,68 @@ def hflip(image: Tensor4) -> Tensor4:
     return Tensor4(np.ascontiguousarray(image.data[:, :, :, ::-1]))
 
 
-def random_crop(image: Tensor4, crop: tuple[int, int],
-                rng: np.random.Generator) -> Tensor4:
-    """Contiguous crop at a uniformly random valid offset."""
+def _crop_window(image: Tensor4, crop: tuple[int, int],
+                 rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """(oy, ox, height, width) of a crop at a uniformly random valid
+    offset; draws oy, then ox."""
     n, c, h, w = image.dims
     ch, cw = crop
     if ch < 1 or cw < 1 or ch > h or cw > w:
         raise ValueError(f"crop {crop} invalid for image {h}x{w}")
-    oy = int(rng.integers(0, h - ch + 1))
-    ox = int(rng.integers(0, w - cw + 1))
+    return int(rng.integers(0, h - ch + 1)), int(rng.integers(0, w - cw + 1)), ch, cw
+
+
+def random_crop(image: Tensor4, crop: tuple[int, int],
+                rng: np.random.Generator) -> Tensor4:
+    """Contiguous crop at a uniformly random valid offset."""
+    oy, ox, ch, cw = _crop_window(image, crop, rng)
     return Tensor4(np.ascontiguousarray(image.data[:, :, oy:oy + ch, ox:ox + cw]))
 
 
 def expand_x5(sample: Sample, crop: tuple[int, int],
-              rng: np.random.Generator) -> list[Sample]:
+              rng: np.random.Generator) -> list[Sample | View]:
     """{original, horizontal flip, 3 random crops resized back to the
-    source resolution}: a 5x expansion, all with the original label."""
-    h, w = sample.image.dims[2], sample.image.dims[3]
-    out = [
-        Sample(sample.image, sample.label, f"{sample.id}#orig"),
-        Sample(hflip(sample.image), sample.label, f"{sample.id}#flip"),
-    ]
+    source resolution}: a 5x expansion, all with the original label. The
+    original shares the sample's image; the flip and the crops are views,
+    their crop offsets drawn here."""
+    out = [Sample(sample.image, sample.label, f"{sample.id}#orig"),
+           View(sample, f"{sample.id}#flip")]
     for k in range(3):
-        cropped = random_crop(sample.image, crop, rng)
-        out.append(Sample(resize_to(cropped, (h, w)), sample.label, f"{sample.id}#crop{k}"))
+        out.append(View(sample, f"{sample.id}#crop{k}", _crop_window(sample.image, crop, rng)))
+    return out
+
+
+def stack_pixels(samples: list[Sample | View]) -> np.ndarray:
+    """The (n, c, h, w) pixels of samples and views, in their sources'
+    dtype: what concatenating each entry's image would give. Plain
+    samples are copied and flips written from reversed views; the crops
+    of one source shape, dtype and crop size are gathered and resized in
+    one ``resize_to`` call, whose bilinear arithmetic is elementwise, so
+    each crop gets the bytes of a one-image call."""
+    sources = [s.source.image.data if isinstance(s, View) else s.image.data
+               for s in samples]
+    out = np.empty((len(samples),) + sources[0].shape[1:], np.result_type(*sources))
+    crops: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
+    for i, (s, src) in enumerate(zip(samples, sources)):
+        if not isinstance(s, View):
+            out[i] = src[0]
+        elif s.window is None:
+            out[i] = src[0, :, :, ::-1]
+        else:
+            oy, ox, ch, cw = s.window
+            rows, parts = crops.setdefault((src.shape, src.dtype, ch, cw), ([], []))
+            rows.append(i)
+            parts.append(src[:, :, oy:oy + ch, ox:ox + cw])
+    for (shape, *_), (rows, parts) in crops.items():
+        out[rows] = resize_to(Tensor4(np.concatenate(parts)), shape[2:]).data
     return out
 
 
 def augment_train_split(dataset: Dataset, crop: tuple[int, int], seed: int) -> Dataset:
-    """Expand every train sample 5x; validation samples pass through.
-    Each sample gets its own RNG stream derived from (seed, sample id)."""
-    samples: list[Sample] = []
+    """Expand every train sample 5x (see ``expand_x5``); validation
+    samples pass through. Each sample gets its own RNG stream derived
+    from (seed, sample id), so a crop too large raises here."""
+    samples: list[Sample | View] = []
     split: list[str] = []
     for s, tag in zip(dataset.samples, dataset.split):
         if tag == "train":

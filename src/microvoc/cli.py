@@ -178,6 +178,11 @@ def cmd_train(args) -> int:
     if run_cfg.checkpoint_every < 0 or run_cfg.checkpoint_every % config.eval_every:
         raise ConfigError(f"checkpoint_every = {run_cfg.checkpoint_every} must be 0 or a "
                           f"positive multiple of eval_every = {config.eval_every}")
+    # crops come from images resized to resize x resize; with augment off
+    # crop is not used
+    if run_cfg.augment and not 1 <= run_cfg.crop <= run_cfg.resize:
+        raise ConfigError(f"crop = {run_cfg.crop} must be between 1 and "
+                          f"resize = {run_cfg.resize} when augment is on")
     ckpt = trainer.load_checkpoint(run_cfg.resume) if run_cfg.resume else None
     if ckpt is not None:
         _check_resume(run_cfg, config, ckpt.net)

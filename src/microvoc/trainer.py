@@ -20,7 +20,7 @@ import numpy as np
 
 from . import archdsl
 from .archdsl import LayerSpec, NetworkSpec
-from .augment import Dataset, Sample, augment_train_split
+from .augment import Dataset, Sample, View, augment_train_split, stack_pixels
 from .errors import CheckpointError, ShapeError, StateError, VersionError
 from .initializers import InitSpec, init_weights, zero_init
 from .layers import (
@@ -236,13 +236,15 @@ def reinitialize(net: Network, kinds: tuple[str, ...] = ("fc",),
     return net
 
 
-def stack_batch(samples: list[Sample], dtype) -> tuple[Tensor4, np.ndarray]:
-    imgs = np.concatenate([s.image.data for s in samples], axis=0).astype(dtype, copy=False)
+def stack_batch(samples: list[Sample | View], dtype) -> tuple[Tensor4, np.ndarray]:
+    """One batch's images in ``dtype`` (augmented views built here, see
+    ``augment.stack_pixels``) and their labels."""
+    imgs = stack_pixels(samples).astype(dtype, copy=False)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return Tensor4(imgs), labels
 
 
-def evaluate(net: Network, samples: list[Sample], batch_size: int = 256) -> float:
+def evaluate(net: Network, samples: list[Sample | View], batch_size: int = 256) -> float:
     """Top-1 accuracy under test-mode forwards; argmax ties go to the
     first (lowest) class index."""
     if not samples:

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microvoc.augment import (
     Dataset,
     Sample,
+    _id_stream,
     augment_train_split,
     expand_x5,
     hflip,
@@ -12,9 +17,11 @@ from microvoc.augment import (
     reduce_multilabel,
     resize_to,
     split_60_40,
+    stack_pixels,
 )
 from microvoc.errors import StateError
 from microvoc.tensor import Tensor4
+from microvoc.trainer import stack_batch
 
 
 def image(data):
@@ -223,6 +230,102 @@ class TestAugmentTrainSplit:
         for sa, sb in zip(a.samples, b.samples):
             assert sa.id == sb.id
             assert np.array_equal(sa.image.data, sb.image.data)
+
+
+# The eager expansion that stored every flip and crop, kept as the
+# reference the per-batch views must reproduce byte for byte.
+
+def _eager_random_crop(image, crop, rng):
+    n, c, h, w = image.dims
+    ch, cw = crop
+    if ch < 1 or cw < 1 or ch > h or cw > w:
+        raise ValueError(f"crop {crop} invalid for image {h}x{w}")
+    oy = int(rng.integers(0, h - ch + 1))
+    ox = int(rng.integers(0, w - cw + 1))
+    return Tensor4(np.ascontiguousarray(image.data[:, :, oy:oy + ch, ox:ox + cw]))
+
+
+def _eager_expand_x5(sample, crop, rng):
+    h, w = sample.image.dims[2], sample.image.dims[3]
+    out = [
+        Sample(sample.image, sample.label, f"{sample.id}#orig"),
+        Sample(hflip(sample.image), sample.label, f"{sample.id}#flip"),
+    ]
+    for k in range(3):
+        cropped = _eager_random_crop(sample.image, crop, rng)
+        out.append(Sample(resize_to(cropped, (h, w)), sample.label, f"{sample.id}#crop{k}"))
+    return out
+
+
+def _eager_augment_train_split(dataset, crop, seed):
+    samples, split = [], []
+    for s, tag in zip(dataset.samples, dataset.split):
+        if tag == "train":
+            expanded = _eager_expand_x5(s, crop, _id_stream(seed, s.id))
+            samples.extend(expanded)
+            split.extend(["train"] * len(expanded))
+        else:
+            samples.append(s)
+            split.append("val")
+    return Dataset(samples, split, dataset.channel_means, dataset.class_names)
+
+
+def _eager_stack_batch(samples, dtype):
+    imgs = np.concatenate([s.image.data for s in samples], axis=0).astype(dtype, copy=False)
+    return imgs, np.array([s.label for s in samples], dtype=np.int64)
+
+
+class TestViews:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_lazy_batches_match_eager(self, data):
+        h, w = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 14))
+        crop = (data.draw(st.integers(1, h)), data.draw(st.integers(1, w)))
+        n = data.draw(st.integers(2, 7))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        samples = [Sample(Tensor4(rng.normal(0.0, 60.0, (1, 3, h, w))), i % 3, f"s{i}")
+                   for i in range(n)]
+        ds = split_60_40(samples, seed=seed)
+        lazy = augment_train_split(ds, crop, seed)
+        eager = _eager_augment_train_split(ds, crop, seed)
+        assert [s.id for s in lazy.samples] == [s.id for s in eager.samples]
+        assert [s.label for s in lazy.samples] == [s.label for s in eager.samples]
+        assert lazy.split == eager.split
+
+        # any entries in any order, repeats allowed, val samples among them
+        idx = data.draw(st.lists(st.integers(0, len(lazy.samples) - 1),
+                                 min_size=1, max_size=24))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        x, y = stack_batch([lazy.samples[i] for i in idx], dtype)
+        want_x, want_y = _eager_stack_batch([eager.samples[i] for i in idx], dtype)
+        assert x.data.dtype == want_x.dtype and x.data.shape == want_x.shape
+        assert x.data.tobytes() == want_x.tobytes()
+        assert np.array_equal(y, want_y)
+
+    def test_entry_image_is_its_batch_row(self):
+        rng = np.random.default_rng(7)
+        samples = [Sample(Tensor4(rng.random((1, 3, 9, 11)) * 255), i % 2, f"e{i}")
+                   for i in range(6)]
+        ds = augment_train_split(split_60_40(samples, seed=1), (6, 7), seed=5)
+        batch = stack_pixels(ds.samples)
+        for i, s in enumerate(ds.samples):
+            assert s.image.dims == (1, 3, 9, 11)
+            assert s.image.data.tobytes() == batch[i:i + 1].tobytes()
+
+    def test_expansion_stores_no_pixels(self):
+        rng = np.random.default_rng(8)
+        samples = [Sample(Tensor4(rng.random((1, 3, 64, 64))), 0, f"p{i}") for i in range(50)]
+        ds = Dataset(samples, ["train"] * 50)
+        eager_bytes = 4 * sum(s.image.data.nbytes for s in samples)  # flip + 3 crops
+        tracemalloc.start()
+        try:
+            out = augment_train_split(ds, (48, 48), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.train_samples()) == 250
+        assert peak < 0.05 * eager_bytes
 
 
 class TestReduceMultilabel:

@@ -307,6 +307,23 @@ class TestTrainEvalPredict:
         assert "checkpoint_every" in err and "eval_every" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("crop", [13, 0])  # resize + 1, and 0
+    def test_crop_outside_the_resized_image_is_usage_error(
+            self, tmp_path, dataset_dir, capsys, crop):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           augment="true", crop=crop)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "crop" in err and "resize" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_crop_is_ignored_without_augment(self, tmp_path, dataset_dir, capsys):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           crop=13, max_iterations=2, eval_every=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+
     def test_final_checkpoint_keeps_adam_state_without_evaluation(
             self, tmp_path, dataset_dir, capsys):
         _, manifest = dataset_dir

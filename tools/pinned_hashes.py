@@ -1,4 +1,4 @@
-"""Rebuild the three pinned training runs and check their bytes.
+"""Rebuild the four pinned training runs and check their bytes.
 
     PYTHONPATH=src python tools/pinned_hashes.py
 
@@ -10,7 +10,10 @@ A change that must not alter what microvoc computes keeps the sha256 of
 - c10: the c10 acceptance net, ``bar_dataset(40, 16, seed=8)``, seed 21,
   60 iterations, evaluation every 10;
 - M3: the M3 preset in float32 at 32x32, ``bar_dataset(53, 32, seed=1)``,
-  seed 1, 4 iterations, evaluation every 2.
+  seed 1, 4 iterations, evaluation every 2;
+- c07aug: the regularized c07 acceptance run, the only augmented one,
+  ``fourbar_dataset(100, 32, seed=2)``, seed 3, dropout p = 0.5, flips
+  and 28x28 crops, 600 iterations, evaluation every 100.
 
 Each ``model.ckpt`` holds the Adam state, the scheduler, the alpha of the
 last evaluation and zero channel means. The script prints both hashes of
@@ -33,7 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from synthdata import bar_dataset  # noqa: E402
+from synthdata import bar_dataset, fourbar_dataset  # noqa: E402
 
 from microvoc import archdsl  # noqa: E402
 from microvoc.optim import AdamState, PlateauScheduler  # noqa: E402
@@ -56,6 +59,12 @@ RUNS = {
                        max_iterations=4, eval_every=2, seed=1),
            "3cc8c374ede4938262c610eba3ec2b3f6a721fc0057c0cbf83b9fd3e404b8a67",
            "0e15b7b88f9069e77df7e6917cf5eba037e31468dc8a66cf864d84a3a603084f"),
+    "c07aug": (lambda: fourbar_dataset(100, 32, seed=2),
+               TrainConfig(arch="IMG-(Conv8-ReLU-MaxPool)-(FC64-ReLU-Dropout-FC4)-Softmax",
+                           max_iterations=600, eval_every=100, seed=3, dropout_p=0.5,
+                           augment=True, crop=(28, 28)),
+               "955d0a36df99c41270afdd136f1d1f77321d96c1b07d1181c34c61531e4b30cc",
+               "cdc6777a2c3d14a50f95ce040d7b85493bc8a8cf555dadffad2f1bec7eaebba3"),
 }
 
 
