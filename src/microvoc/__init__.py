@@ -4,7 +4,7 @@ learning-rate schedule, flip/crop augmentation, an architecture-string
 DSL, checkpointing and a CLI."""
 
 from .archdsl import PRESETS, LayerSpec, NetworkSpec, parse, render
-from .augment import Dataset, Sample, hflip, random_crop, resize_to, split_60_40
+from .augment import Dataset, Sample, resize_to, split_60_40
 from .initializers import InitSpec
 from .layers import ConvConfig, DropoutConfig, LrnConfig, Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
@@ -27,7 +27,7 @@ __all__ = [
     "AdamConfig", "AdamState", "ConvConfig", "Dataset", "DropoutConfig",
     "InitSpec", "LayerSpec", "LrnConfig", "Mode", "Network", "NetworkSpec",
     "PlateauScheduler", "PRESETS", "Sample", "SchedulerConfig", "Tensor4",
-    "TrainConfig", "TrainHistory", "build", "evaluate", "freeze", "hflip",
-    "load_checkpoint", "parse", "random_crop", "render", "resize_to",
-    "save_checkpoint", "split_60_40", "train",
+    "TrainConfig", "TrainHistory", "build", "evaluate", "freeze",
+    "load_checkpoint", "parse", "render", "resize_to", "save_checkpoint",
+    "split_60_40", "train",
 ]

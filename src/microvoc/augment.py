@@ -7,9 +7,10 @@ splits. Augmentation (flip + random crops, a 5x expansion) applies to
 the train split only and preserves labels.
 
 The expansion stores no pixels: each flip and crop is a ``View`` of its
-source sample (the crop offsets are drawn up front), and
-``stack_pixels`` builds a batch's flips and crops when the batch is
-assembled. Memory stays that of the un-augmented split.
+source sample (the crop offsets are drawn up front), and ``stack_batch``,
+the one place that turns train entries into pixels, builds a batch's
+flips and crops when the batch is assembled. Memory stays that of the
+un-augmented split.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class Dataset:
 class View:
     """An augmented train entry that stores no pixels: its source
     sample's image mirrored (``window`` None), or cropped to ``window`` =
-    (oy, ox, height, width) and resized back to the source resolution."""
+    (oy, ox, height, width) and resized back to the source resolution.
+    ``stack_batch`` builds the pixels."""
 
     source: Sample
     id: str
@@ -61,11 +63,6 @@ class View:
     @property
     def label(self) -> int:
         return self.source.label
-
-    @property
-    def image(self) -> Tensor4:
-        """The (1, c, h, w) pixels, built on demand."""
-        return Tensor4(stack_pixels([self]))
 
 
 def _id_stream(seed: int, sample_id: str) -> np.random.Generator:
@@ -106,11 +103,6 @@ def resize_to(image: Tensor4, target: tuple[int, int] = (128, 128)) -> Tensor4:
     return Tensor4(out.astype(d.dtype, copy=False))
 
 
-def hflip(image: Tensor4) -> Tensor4:
-    """Mirror along the width axis: out[c, y, x] = in[c, y, W-1-x]."""
-    return Tensor4(np.ascontiguousarray(image.data[:, :, :, ::-1]))
-
-
 def _crop_window(image: Tensor4, crop: tuple[int, int],
                  rng: np.random.Generator) -> tuple[int, int, int, int]:
     """(oy, ox, height, width) of a crop at a uniformly random valid
@@ -122,36 +114,16 @@ def _crop_window(image: Tensor4, crop: tuple[int, int],
     return int(rng.integers(0, h - ch + 1)), int(rng.integers(0, w - cw + 1)), ch, cw
 
 
-def random_crop(image: Tensor4, crop: tuple[int, int],
-                rng: np.random.Generator) -> Tensor4:
-    """Contiguous crop at a uniformly random valid offset."""
-    oy, ox, ch, cw = _crop_window(image, crop, rng)
-    return Tensor4(np.ascontiguousarray(image.data[:, :, oy:oy + ch, ox:ox + cw]))
-
-
-def expand_x5(sample: Sample, crop: tuple[int, int],
-              rng: np.random.Generator) -> list[Sample | View]:
-    """{original, horizontal flip, 3 random crops resized back to the
-    source resolution}: a 5x expansion, all with the original label. The
-    original shares the sample's image; the flip and the crops are views,
-    their crop offsets drawn here."""
-    out = [Sample(sample.image, sample.label, f"{sample.id}#orig"),
-           View(sample, f"{sample.id}#flip")]
-    for k in range(3):
-        out.append(View(sample, f"{sample.id}#crop{k}", _crop_window(sample.image, crop, rng)))
-    return out
-
-
-def stack_pixels(samples: list[Sample | View]) -> np.ndarray:
-    """The (n, c, h, w) pixels of samples and views, in their sources'
-    dtype: what concatenating each entry's image would give. Plain
+def stack_batch(samples: list[Sample | View], dtype) -> tuple[Tensor4, np.ndarray]:
+    """One batch's (n, c, h, w) pixels in ``dtype``, what concatenating
+    each entry's image and casting would give, and its labels. Plain
     samples are copied and flips written from reversed views; the crops
     of one source shape, dtype and crop size are gathered and resized in
     one ``resize_to`` call, whose bilinear arithmetic is elementwise, so
     each crop gets the bytes of a one-image call."""
     sources = [s.source.image.data if isinstance(s, View) else s.image.data
                for s in samples]
-    out = np.empty((len(samples),) + sources[0].shape[1:], np.result_type(*sources))
+    out = np.empty((len(samples),) + sources[0].shape[1:], dtype)
     crops: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
     for i, (s, src) in enumerate(zip(samples, sources)):
         if not isinstance(s, View):
@@ -165,20 +137,25 @@ def stack_pixels(samples: list[Sample | View]) -> np.ndarray:
             parts.append(src[:, :, oy:oy + ch, ox:ox + cw])
     for (shape, *_), (rows, parts) in crops.items():
         out[rows] = resize_to(Tensor4(np.concatenate(parts)), shape[2:]).data
-    return out
+    return Tensor4(out), np.array([s.label for s in samples], dtype=np.int64)
 
 
 def augment_train_split(dataset: Dataset, crop: tuple[int, int], seed: int) -> Dataset:
-    """Expand every train sample 5x (see ``expand_x5``); validation
-    samples pass through. Each sample gets its own RNG stream derived
-    from (seed, sample id), so a crop too large raises here."""
+    """Expand every train sample 5x into {original, horizontal flip, 3
+    random crops resized back to the source resolution}, all with the
+    original label; validation samples pass through. The original shares
+    the sample's image; the flip and the crops are views, their crop
+    offsets drawn here from the sample's own RNG stream, derived from
+    (seed, sample id), so a crop too large raises here."""
     samples: list[Sample | View] = []
     split: list[str] = []
     for s, tag in zip(dataset.samples, dataset.split):
         if tag == "train":
-            expanded = expand_x5(s, crop, _id_stream(seed, s.id))
-            samples.extend(expanded)
-            split.extend(["train"] * len(expanded))
+            rng = _id_stream(seed, s.id)
+            samples += [Sample(s.image, s.label, f"{s.id}#orig"), View(s, f"{s.id}#flip")]
+            samples += [View(s, f"{s.id}#crop{k}", _crop_window(s.image, crop, rng))
+                        for k in range(3)]
+            split += ["train"] * 5
         else:
             samples.append(s)
             split.append("val")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     MicrovocError,
 )
 from .initializers import InitSpec
-from .layers import Mode
+from .layers import DropoutConfig, Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from .trainer import TrainConfig
 
@@ -128,20 +128,34 @@ def _parse_init(raw: str, key: str) -> InitSpec:
     raise ConfigError(f"key {key!r}: expected xavier, zero or gaussian:<std>, got {raw!r}")
 
 
+def _checked(obj, cfg: RunConfig, **keys: str):
+    """``obj`` with each named field set from the run-config key given for
+    it, one field at a time, so a value the object rejects is reported
+    under its key in the config file."""
+    for name, key in keys.items():
+        try:
+            obj = replace(obj, **{name: getattr(cfg, key)})
+        except ValueError as e:
+            raise ConfigError(f"key {key!r}: {e}") from e
+    return obj
+
+
 def to_train_config(cfg: RunConfig) -> TrainConfig:
     if cfg.precision not in ("float64", "float32"):
         raise ConfigError(f"precision must be float64 or float32, got {cfg.precision!r}")
-    return TrainConfig(
+    if cfg.resize < 1:
+        raise ConfigError(f"resize must be >= 1, got {cfg.resize}")
+    # checked whether or not the arch has a Dropout layer
+    _checked(DropoutConfig(), cfg, p="dropout_p")
+    adam = _checked(AdamConfig(), cfg, alpha="alpha", beta1="beta1", beta2="beta2",
+                    epsilon="epsilon", lam="l2_lambda")
+    scheduler = _checked(SchedulerConfig(), cfg, metric="scheduler_metric",
+                         patience="patience", min_delta="min_delta", factor="factor",
+                         floor="alpha_floor")
+    config = TrainConfig(
         arch=archdsl.resolve_arch(cfg.arch),
-        adam=AdamConfig(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2,
-                        epsilon=cfg.epsilon, lam=cfg.l2_lambda),
-        scheduler=SchedulerConfig(metric=cfg.scheduler_metric, patience=cfg.patience,
-                                  min_delta=cfg.min_delta, factor=cfg.factor,
-                                  floor=cfg.alpha_floor),
-        batch_size=cfg.batch_size,
-        max_iterations=cfg.max_iterations,
-        eval_every=cfg.eval_every,
-        seed=cfg.seed,
+        adam=adam,
+        scheduler=scheduler,
         augment=cfg.augment,
         crop=(cfg.crop, cfg.crop),
         init_conv=_parse_init(cfg.init_conv, "init_conv"),
@@ -150,6 +164,8 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
         l2_include_biases=cfg.l2_include_biases,
         dtype=cfg.precision,
     )
+    return _checked(config, cfg, batch_size="batch_size", max_iterations="max_iterations",
+                    eval_every="eval_every", seed="seed")
 
 
 def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network) -> None:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import archdsl
 from .archdsl import LayerSpec, NetworkSpec
-from .augment import Dataset, Sample, View, augment_train_split, stack_pixels
-from .errors import CheckpointError, ShapeError, StateError, VersionError
+from .augment import Dataset, Sample, View, augment_train_split, stack_batch
+from .errors import ArchError, CheckpointError, ShapeError, StateError, VersionError
 from .initializers import InitSpec, init_weights, zero_init
 from .layers import (
     DropoutConfig,
@@ -55,7 +55,6 @@ class LayerNode:
     spec: LayerSpec
     cfg: object = None  # the config layers.realize gave this layer
     params: dict[str, Tensor4] = field(default_factory=dict)
-    grads: dict[str, Tensor4] = field(default_factory=dict)
     frozen: bool = False  # frozen layers still get gradients; the optimizer drops them
     cache: object = None
 
@@ -157,8 +156,8 @@ class Network:
             node = self.nodes[i]
             if node.cache is None:
                 raise StateError(f"layer {i} ({node.spec.kind}) has no cached forward state")
-            g, node.grads = DISPATCH[node.spec.kind][1](node.cache, g, input_grad or i > 0)
-            for name, gt in node.grads.items():
+            g, node_grads = DISPATCH[node.spec.kind][1](node.cache, g, input_grad or i > 0)
+            for name, gt in node_grads.items():
                 grads[f"{i}.{name}"] = gt
             node.cache = None
         self.mode = Mode.TEST
@@ -234,14 +233,6 @@ def reinitialize(net: Network, kinds: tuple[str, ...] = ("fc",),
             shapes = {name: p.dims for name, p in node.params.items()}
             node.params = _init_params(shapes, init, rng, net.dtype)
     return net
-
-
-def stack_batch(samples: list[Sample | View], dtype) -> tuple[Tensor4, np.ndarray]:
-    """One batch's images in ``dtype`` (augmented views built here, see
-    ``augment.stack_pixels``) and their labels."""
-    imgs = stack_pixels(samples).astype(dtype, copy=False)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return Tensor4(imgs), labels
 
 
 def evaluate(net: Network, samples: list[Sample | View], batch_size: int = 256) -> float:
@@ -355,7 +346,7 @@ def train(config: TrainConfig, dataset: Dataset, *,
         raise StateError("validation split is empty")
 
     dtype = np.dtype(config.dtype)
-    img_dims = train_samples[0].image.dims
+    img_dims = val_samples[0].image.dims  # a plain sample: augmentation leaves val alone
     if net is None:
         net = build(config.arch, seed=config.seed, init_conv=config.init_conv,
                     init_fc=config.init_fc, dropout_p=config.dropout_p, dtype=dtype,
@@ -458,13 +449,19 @@ def _write_tensor(fh, t: Tensor4) -> None:
 
 
 class _Reader:
+    """Checks every length read from the file against the bytes left in it
+    before reading, so corrupt lengths or dims raise CheckpointError
+    instead of asking for more memory than the file holds."""
+
     def __init__(self, fh):
         self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
 
     def read(self, n: int) -> bytes:
-        buf = self.fh.read(n)
+        buf = self.fh.read(n) if n <= self.left else b""
         if len(buf) != n:
             raise CheckpointError("checkpoint truncated")
+        self.left -= n
         return buf
 
     def unpack(self, fmt: str):
@@ -472,12 +469,16 @@ class _Reader:
 
     def read_str(self) -> str:
         (n,) = self.unpack("<I")
-        return self.read(n).decode("utf-8")
+        try:
+            return self.read(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"corrupt string: {e}") from e
 
     def read_tensor(self, dtype) -> Tensor4:
         dims = self.unpack("<4I")
-        count = dims[0] * dims[1] * dims[2] * dims[3]
-        data = np.frombuffer(self.read(8 * count), dtype="<f8").reshape(dims)
+        if 0 in dims:
+            raise CheckpointError(f"tensor dims {dims} must all be >= 1")
+        data = np.frombuffer(self.read(8 * math.prod(dims)), dtype="<f8").reshape(dims)
         return Tensor4(data.astype(dtype))
 
 
@@ -583,7 +584,14 @@ def load_checkpoint(path) -> Checkpoint:
         (n_names,) = r.unpack("<I")
         names = [r.read_str() for _ in range(n_names)]
 
-        spec = archdsl.parse(arch, input_dims)
+        try:
+            spec = archdsl.parse(arch, input_dims)
+        except ArchError as e:
+            raise CheckpointError(f"corrupt arch {arch!r}: {e}") from e
+        # each parameter is stored as float64: no larger net can be in the file
+        if 8 * spec.param_count > r.left:
+            raise CheckpointError(f"arch {arch!r} at input {input_dims} has more "
+                                  f"parameters than the file holds")
         # zero init: every parameter is overwritten from the file below
         net = build(spec, seed=seed, dtype=dtype,
                     init_conv=InitSpec("zero"), init_fc=InitSpec("zero"))
@@ -614,8 +622,7 @@ def load_checkpoint(path) -> Checkpoint:
                 state.v[key] = r.read_tensor(np.float64)
             adam_state = state
 
-        extra = fh.read(1)
-        if extra:
+        if r.left:
             raise CheckpointError("trailing bytes after checkpoint payload")
 
     return Checkpoint(

@@ -5,23 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import microvoc
 from microvoc.augment import (
     Dataset,
     Sample,
+    _crop_window,
     _id_stream,
     augment_train_split,
-    expand_x5,
-    hflip,
     mean_subtract,
-    random_crop,
     reduce_multilabel,
     resize_to,
     split_60_40,
-    stack_pixels,
+    stack_batch,
 )
 from microvoc.errors import StateError
 from microvoc.tensor import Tensor4
-from microvoc.trainer import stack_batch
 
 
 def image(data):
@@ -30,6 +28,26 @@ def image(data):
 
 def gray(value, size=4):
     return Tensor4(np.full((1, 3, size, size), float(value)))
+
+
+def random_sample(seed=4, h=8, w=8):
+    rng = np.random.default_rng(seed)
+    return Sample(Tensor4(rng.random((1, 3, h, w)) * 255), 1, "img0")
+
+
+def expand(sample, crop, seed=0):
+    """The five train entries of one sample: orig, flip, crop0-2."""
+    return augment_train_split(Dataset([sample], ["train"]), crop, seed).samples
+
+
+def rows(entries):
+    """The float64 batch rows of entries."""
+    return stack_batch(entries, np.float64)[0].data
+
+
+def test_public_names_resolve():
+    for name in microvoc.__all__:
+        assert hasattr(microvoc, name), name
 
 
 class TestResize:
@@ -59,84 +77,61 @@ class TestResize:
 
 
 class TestHflip:
+    """The #flip entry, built by stack_batch."""
+
+    def flip_row(self, img):
+        return rows(expand(Sample(img, 0, "f"), (1, 1))[1:2])[0]
+
     def test_involution(self):
         rng = np.random.default_rng(1)
         img = Tensor4(rng.random((1, 3, 5, 7)))
-        assert np.array_equal(hflip(hflip(img)).data, img.data)
+        assert np.array_equal(self.flip_row(img)[:, :, ::-1], img.data[0])
 
     def test_symmetric_image_unchanged(self):
         img = image([[[[1.0, 2.0, 1.0]]]])
-        assert np.array_equal(hflip(img).data, img.data)
+        assert np.array_equal(self.flip_row(img), img.data[0])
 
     def test_row_reversed(self):
         img = image([[[[1.0, 2.0, 3.0]]]])
-        assert np.array_equal(hflip(img).data.ravel(), [3, 2, 1])
+        assert np.array_equal(self.flip_row(img).ravel(), [3, 2, 1])
 
 
 class TestRandomCrop:
+    """The #crop entries: offsets drawn by augment_train_split, pixels
+    built by stack_batch."""
+
     def test_full_size_crop_is_identity(self):
-        rng = np.random.default_rng(2)
-        img = Tensor4(rng.random((1, 3, 4, 4)))
-        out = random_crop(img, (4, 4), np.random.default_rng(0))
-        assert np.array_equal(out.data, img.data)
+        sample = random_sample(2, 4, 4)
+        crops = expand(sample, (4, 4))[2:]
+        assert [v.window for v in crops] == [(0, 0, 4, 4)] * 3
+        for row in rows(crops):
+            assert row.tobytes() == sample.image.data[0].tobytes()
 
     def test_crop_is_exact_subblock(self):
-        rng = np.random.default_rng(3)
-        img = Tensor4(rng.random((1, 3, 8, 8)))
-        out = random_crop(img, (5, 5), np.random.default_rng(1))
-        found = any(
-            np.array_equal(out.data, img.data[:, :, oy:oy + 5, ox:ox + 5])
-            for oy in range(4) for ox in range(4)
-        )
-        assert found
+        sample = random_sample(3, 9, 11)
+        crops = expand(sample, (5, 6), seed=1)[2:]
+        for row, view in zip(rows(crops), crops):
+            oy, ox, ch, cw = view.window
+            assert (ch, cw) == (5, 6)
+            block = Tensor4(sample.image.data[:, :, oy:oy + ch, ox:ox + cw])
+            assert row.tobytes() == resize_to(block, (9, 11)).data[0].tobytes()
 
     def test_offsets_uniform_chi_square(self):
-        # 2x2 crop of a 3x3 ramp: 4 possible sub-blocks, identified by corner
-        img = Tensor4(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) *
-                      np.ones((1, 3, 1, 1)))
+        # 2x2 crop of a 3x3 image: 4 possible offsets
+        img = gray(0, 3)
         counts = np.zeros(4)
         n = 10_000
         rng = np.random.default_rng(1234)
         for _ in range(n):
-            out = random_crop(img, (2, 2), rng)
-            corner = out.data[0, 0, 0, 0]
-            counts[{0.0: 0, 1.0: 1, 3.0: 2, 4.0: 3}[corner]] += 1
+            oy, ox, _, _ = _crop_window(img, (2, 2), rng)
+            counts[2 * oy + ox] += 1
         expected = n / 4
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < 16.27  # chi-square 0.999 quantile, 3 dof
 
     def test_oversized_crop_rejected(self):
         with pytest.raises(ValueError):
-            random_crop(gray(0, 4), (5, 4), np.random.default_rng(0))
-
-
-class TestExpandX5:
-    def make_sample(self, seed=4):
-        rng = np.random.default_rng(seed)
-        return Sample(Tensor4(rng.random((1, 3, 8, 8)) * 255), 1, "img0")
-
-    def test_exactly_five_with_same_label(self):
-        out = expand_x5(self.make_sample(), (6, 6), np.random.default_rng(0))
-        assert len(out) == 5
-        assert all(s.label == 1 for s in out)
-        assert len({s.id for s in out}) == 5
-
-    def test_first_is_original_second_is_flip(self):
-        sample = self.make_sample()
-        out = expand_x5(sample, (6, 6), np.random.default_rng(0))
-        assert np.array_equal(out[0].image.data, sample.image.data)
-        assert np.array_equal(out[1].image.data, hflip(sample.image).data)
-
-    def test_crops_resized_back_to_source_resolution(self):
-        out = expand_x5(self.make_sample(), (6, 6), np.random.default_rng(0))
-        assert all(s.image.dims == (1, 3, 8, 8) for s in out)
-
-    def test_deterministic_under_seed(self):
-        sample = self.make_sample()
-        a = expand_x5(sample, (6, 6), np.random.default_rng(9))
-        b = expand_x5(sample, (6, 6), np.random.default_rng(9))
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.image.data, sb.image.data)
+            expand(Sample(gray(0, 4), 0, "g"), (5, 4))
 
 
 class TestSplit:
@@ -227,9 +222,34 @@ class TestAugmentTrainSplit:
         ds = split_60_40(samples, seed=2)
         a = augment_train_split(ds, (3, 3), seed=11)
         b = augment_train_split(ds, (3, 3), seed=11)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.id == sb.id
-            assert np.array_equal(sa.image.data, sb.image.data)
+        assert [s.id for s in a.samples] == [s.id for s in b.samples]
+        assert rows(a.samples).tobytes() == rows(b.samples).tobytes()
+
+    def test_exactly_five_with_same_label(self):
+        out = expand(random_sample(), (6, 6))
+        assert [s.id for s in out] == ["img0#orig", "img0#flip", "img0#crop0",
+                                       "img0#crop1", "img0#crop2"]
+        assert all(s.label == 1 for s in out)
+
+    def test_first_is_original_second_is_flip(self):
+        sample = random_sample()
+        out = expand(sample, (6, 6))
+        assert out[0].image is sample.image
+        assert out[1].source is sample and out[1].window is None
+        x = rows(out)
+        assert np.array_equal(x[0], sample.image.data[0])
+        assert np.array_equal(x[1], sample.image.data[0, :, :, ::-1])
+
+    def test_crops_resized_back_to_source_resolution(self):
+        out = expand(random_sample(), (6, 6))
+        assert all(v.window[2:] == (6, 6) for v in out[2:])
+        assert rows(out).shape == (5, 3, 8, 8)
+
+    def test_deterministic_under_seed(self):
+        sample = random_sample()
+        a, b = expand(sample, (6, 6), seed=9), expand(sample, (6, 6), seed=9)
+        assert [v.window for v in a[2:]] == [v.window for v in b[2:]]
+        assert rows(a).tobytes() == rows(b).tobytes()
 
 
 # The eager expansion that stored every flip and crop, kept as the
@@ -245,11 +265,15 @@ def _eager_random_crop(image, crop, rng):
     return Tensor4(np.ascontiguousarray(image.data[:, :, oy:oy + ch, ox:ox + cw]))
 
 
+def _eager_hflip(image):
+    return Tensor4(np.ascontiguousarray(image.data[:, :, :, ::-1]))
+
+
 def _eager_expand_x5(sample, crop, rng):
     h, w = sample.image.dims[2], sample.image.dims[3]
     out = [
         Sample(sample.image, sample.label, f"{sample.id}#orig"),
-        Sample(hflip(sample.image), sample.label, f"{sample.id}#flip"),
+        Sample(_eager_hflip(sample.image), sample.label, f"{sample.id}#flip"),
     ]
     for k in range(3):
         cropped = _eager_random_crop(sample.image, crop, rng)
@@ -302,16 +326,6 @@ class TestViews:
         assert x.data.dtype == want_x.dtype and x.data.shape == want_x.shape
         assert x.data.tobytes() == want_x.tobytes()
         assert np.array_equal(y, want_y)
-
-    def test_entry_image_is_its_batch_row(self):
-        rng = np.random.default_rng(7)
-        samples = [Sample(Tensor4(rng.random((1, 3, 9, 11)) * 255), i % 2, f"e{i}")
-                   for i in range(6)]
-        ds = augment_train_split(split_60_40(samples, seed=1), (6, 7), seed=5)
-        batch = stack_pixels(ds.samples)
-        for i, s in enumerate(ds.samples):
-            assert s.image.dims == (1, 3, 9, 11)
-            assert s.image.data.tobytes() == batch[i:i + 1].tobytes()
 
     def test_expansion_stores_no_pixels(self):
         rng = np.random.default_rng(8)

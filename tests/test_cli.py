@@ -1,12 +1,14 @@
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from microvoc import archdsl
 from microvoc.cli import RunConfig, main, parse_run_config, to_train_config
 from microvoc.dataio import MANIFEST_HEADER, write_ppm
 from microvoc.errors import ConfigError
-from microvoc.trainer import load_checkpoint
+from microvoc.trainer import build, load_checkpoint, save_checkpoint
 
 TINY_ARCH = "IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-FC2)-Softmax"
 
@@ -318,6 +320,23 @@ class TestTrainEvalPredict:
         assert "crop" in err and "resize" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 0), ("eval_every", 0), ("max_iterations", 0), ("seed", -1),
+        ("alpha", 0), ("beta1", 1.0), ("epsilon", 0), ("patience", 0), ("factor", 1),
+        ("scheduler_metric", "foo"), ("l2_lambda", -1), ("dropout_p", 1.0),
+        ("dropout_p", -0.5), ("resize", 0), ("resize", -3),
+    ])
+    def test_out_of_range_value_is_usage_error_naming_its_key(
+            self, tmp_path, dataset_dir, capsys, key, value):
+        _, manifest = dataset_dir
+        # a Dropout layer, so that dropout_p is used
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           arch="IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-Dropout-FC2)-Softmax",
+                           **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_crop_is_ignored_without_augment(self, tmp_path, dataset_dir, capsys):
         _, manifest = dataset_dir
         cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
@@ -333,6 +352,18 @@ class TestTrainEvalPredict:
         ck = load_checkpoint(tmp_path / "run" / "model.ckpt")
         assert ck.iteration == 5
         assert ck.adam_state is not None and ck.adam_state.t == 5
+
+    def test_predict_on_inflated_tensor_dims_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, build(archdsl.parse(TINY_ARCH, (3, 12, 12))))
+        data = path.read_bytes()
+        # the conv bias, the first tensor stored, is the first (1, 2, 1, 1)
+        conv_bias = struct.pack("<4I", 1, 2, 1, 1)
+        path.write_bytes(data.replace(conv_bias, struct.pack("<4I", 2**32 - 1, 2, 1, 1), 1))
+        write_ppm(tmp_path / "x.ppm", np.full((3, 12, 12), 100.0))
+        assert main(["predict", "--checkpoint", str(path),
+                     "--image", str(tmp_path / "x.ppm")]) == 2
+        assert "checkpoint" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

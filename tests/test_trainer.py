@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import bar_dataset
 
@@ -122,11 +124,12 @@ class TestBackward:
         net = small_net()
         freeze(net, lambda i, ls: True)
         logits = net.forward(random_batch(), Mode.TRAIN)
-        net.backward(Tensor4(np.ones(logits.dims)))
-        with_params = [n for n in net.nodes if n.params]
+        grads = net.backward(Tensor4(np.ones(logits.dims)))
+        with_params = [(i, n) for i, n in enumerate(net.nodes) if n.params]
         assert with_params
-        assert all(n.frozen for n in with_params)
-        assert all(n.grads for n in with_params)  # still computed
+        assert all(n.frozen for _, n in with_params)
+        # still computed
+        assert set(grads) == {f"{i}.{name}" for i, n in with_params for name in n.params}
 
     @pytest.mark.parametrize("arch", [SMALL_ARCH, "IMG-(FC16-ReLU-FC4)-Softmax"])
     def test_input_gradient_only_on_request(self, arch):
@@ -386,6 +389,42 @@ class TestCheckpoint:
             save_checkpoint(path, small_net(seed=21))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The bytes of a 2 KB checkpoint with frozen layers, Adam and scheduler
+    state, channel means and class names."""
+    net = build(archdsl.parse("IMG-(Conv2-ReLU-MaxPool)-(FC4-ReLU-FC2)-Softmax", (3, 4, 4)),
+                seed=1)
+    freeze(net, lambda i, ls: ls.kind == "conv")
+    state = AdamState.for_params(net.param_dict(trainable_only=True))
+    state.t = 5
+    path = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
+    save_checkpoint(path, net, state, iteration=7, alpha=1e-4,
+                    scheduler=PlateauScheduler(SchedulerConfig()),
+                    channel_means=np.array([1.0, 2.0, 3.0]), class_names=["cat", "dog"])
+    return path.read_bytes()
+
+
+class TestCorruptCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                          min_size=1, max_size=3),
+           cut=st.one_of(st.none(), st.integers(0, 2**16)))
+    def test_loads_or_raises_checkpoint_error(self, small_checkpoint, tmp_path_factory,
+                                              edits, cut):
+        data = bytearray(small_checkpoint)
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        if cut is not None:
+            data = data[:cut % len(data)]
+        path = tmp_path_factory.getbasetemp() / "corrupt.ckpt"
+        path.write_bytes(bytes(data))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:  # VersionError is one
+            pass
 
 
 class TestResume:
