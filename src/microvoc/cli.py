@@ -202,6 +202,9 @@ def cmd_train(args) -> int:
     ckpt = trainer.load_checkpoint(run_cfg.resume) if run_cfg.resume else None
     if ckpt is not None:
         _check_resume(run_cfg, config, ckpt.net)
+        if ckpt.iteration > config.max_iterations:
+            raise ConfigError(f"max_iterations = {config.max_iterations}, but the resumed "
+                              f"checkpoint is at iteration {ckpt.iteration}")
     class_names = [c.strip() for c in run_cfg.classes.split(",") if c.strip()]
     out_dir = Path(run_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,9 @@ from .tensor import Tensor4
 
 MANIFEST_HEADER = "#microvoc-manifest v1"
 
+#: ingest aborts when more than this fraction of the manifest's records fail
+MAX_FAILURE_FRACTION = 0.01
+
 VOC_CLASSES = (
     "aeroplane", "bicycle", "bird", "boat", "bottle",
     "bus", "car", "cat", "chair", "cow",
@@ -152,10 +155,10 @@ def load_image(path, size: tuple[int, int], channel_means=None) -> Tensor4:
 
 def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
            seed: int = 1, resize: tuple[int, int] = (128, 128),
-           stats_path=None, max_failure_fraction: float = 0.01) -> Dataset:
+           stats_path=None) -> Dataset:
     """Decode everything a manifest names, resize, split 60:40 and
     mean-center. Per-record decode failures are collected; the run
-    aborts when more than ``max_failure_fraction`` of records fail.
+    aborts when more than MAX_FAILURE_FRACTION of records fail.
 
     A JSON stats sidecar (channel means and the split assignment) is
     written next to the manifest, or to ``stats_path``.
@@ -175,7 +178,7 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
             failures.append((lineno, rel, str(e)))
     if failures:
         summary = "; ".join(f"line {ln} ({rel}): {msg}" for ln, rel, msg in failures[:5])
-        if len(failures) > max_failure_fraction * len(records):
+        if len(failures) > MAX_FAILURE_FRACTION * len(records):
             raise IngestError(
                 f"{len(failures)}/{len(records)} records failed to load: {summary}")
     if not samples:

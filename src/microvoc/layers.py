@@ -9,17 +9,16 @@ reads (its cache refers to the input), so it works the same in both
 modes and the trainer drops its cache in test mode. Every kernel takes
 and returns NCHW tensors. Inside, conv works on the zero-padded input
 laid out as an NHWC row grid, one row of C channels per position, where
-each kernel tap is one GEMM on a contiguous row slice; its forward runs
-on blocks of whole images of about CONV_BLOCK_ROWS grid rows, each
-padded into one reused block-sized grid, so a block's GEMM operands,
-accumulator and tap term stay in cache and nothing the size of the
-padded batch is built; its backward pads the whole batch once. Max
-pooling takes a running maximum over the k*k strided views of its
+each kernel tap is one GEMM on a contiguous row slice. Its forward and
+its input gradient (the forward run backwards) share one loop over
+blocks of whole images of about CONV_BLOCK_ROWS grid rows, on one reused
+block-sized grid, accumulator and tap term, so a block's working set
+stays in cache; only the weight gradient pads the whole batch, once.
+Max pooling takes a running maximum over the k*k strided views of its
 input; LRN runs one image at a time on reused (c, h, w) buffers.
-``KINDS`` holds one row
-per kind: its token and options in architecture strings, and its
-``realize``, which gives its validated config, output dims and parameter
-shapes for a given input.
+``KINDS`` holds one row per kind: its token and options in architecture
+strings, and its ``realize``, which gives its validated config, output
+dims and parameter shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -190,8 +189,8 @@ def realize(spec, in_dims: tuple[int, int, int]) -> Realized:
 # ---------------------------------------------------------------------------
 # convolution
 
-#: padded-grid rows per conv forward block; a block is whole images, at
-#: least one. M4's test-mode forward at 32x32 in float32, batch 256, took
+#: grid rows per block of conv's forward and input gradient; a block is
+#: whole images, at least one. M4's test-mode forward at 32x32 in float32, batch 256, took
 #: (median of 4, 2 vCPU) 1.37-1.41 s for 1024 to 8192 rows, 1.45 s for
 #: 16384, 1.73 s for 65536 and 2.09 s as one block of the whole batch.
 CONV_BLOCK_ROWS = 2048
@@ -210,27 +209,47 @@ def _tap_offsets(kh: int, kw: int, grid_w: int) -> list[int]:
     return [u * grid_w + v for u in range(kh) for v in range(kw)]
 
 
-def _shifted_gemms(rows: np.ndarray, mats: np.ndarray, offsets: list[int],
-                   acc: np.ndarray, term: np.ndarray) -> None:
-    """acc[r] = sum_t rows[r + offsets[t]] @ mats[t] for r < len(acc), summed
-    in tap order; each term is one GEMM on a contiguous row slice into the
-    scratch ``term``, shaped like ``acc``."""
-    length = len(acc)
-    np.matmul(rows[offsets[0]:offsets[0] + length], mats[0], out=acc)
-    for off, mat in zip(offsets[1:], mats[1:]):
-        np.matmul(rows[off:off + length], mat, out=term)
-        acc += term
+def _tap_sums(src: np.ndarray, put: tuple[int, int], mats: np.ndarray, offsets: list[int],
+              grid_hw: tuple[int, int], take: tuple[int, int], out: np.ndarray,
+              bias: np.ndarray | None = None) -> None:
+    """Shifted GEMMs over an NHWC row grid, on blocks of whole images.
 
-
-def _pad_into(grid: np.ndarray, x: np.ndarray, p: int) -> None:
-    """Lay x (n, c, h, w) out as NHWC in the middle of grid (n, h + 2p,
-    w + 2p, c) and zero the pad border around it."""
-    h, w = x.shape[2:]
-    grid[:, :p] = 0
-    grid[:, p + h:] = 0
-    grid[:, p:p + h, :p] = 0
-    grid[:, p:p + h, p + w:] = 0
-    grid[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    Each image of src (n, c, sh, sw) sits on a zero grid of grid_hw
+    positions, one row of c each, at rows and columns start + step*j of
+    ``put = (start, step)``. acc[r] = sum_t grid[r + offsets[t]] @ mats[t]
+    is summed in tap order, with -min(offsets) zero rows ahead of the
+    grid, and out (n, cols, oh, ow) gets acc at the positions of ``take``,
+    plus ``bias``. A block is whole images, at least one, of about
+    CONV_BLOCK_ROWS grid rows, on one reused grid, accumulator and tap
+    term, so its working set stays in cache. Each sum row depends only on
+    its own operands, so blocking changes no bit unless the BLAS picks
+    its kernel by row count.
+    """
+    n, c, sh, sw = src.shape
+    hg, wg = grid_hw
+    (p0, ps), (t0, ts), (oh, ow) = put, take, out.shape[2:]
+    lead, tail, cols = -min(offsets), max(offsets), mats.shape[2]
+    starts = [lead + off for off in offsets]  # each tap's first row in ``rows``
+    per = min(n, max(1, CONV_BLOCK_ROWS // (hg * wg)))  # images per block
+    rows = np.zeros((lead + per * hg * wg, c), dtype=src.dtype)
+    grid = rows[lead:].reshape(per, hg, wg, c)
+    acc = np.empty((per * hg * wg, cols), dtype=src.dtype)
+    term = np.empty((per * hg * wg - tail, cols), dtype=src.dtype)
+    for i0 in range(0, n, per):
+        nb = min(per, n - i0)
+        grid[:nb, p0:p0 + ps * sh:ps, p0:p0 + ps * sw:ps] = src[i0:i0 + nb].transpose(0, 2, 3, 1)
+        length = nb * hg * wg - tail
+        sums, tap = acc[:length], term[:length]
+        np.matmul(rows[starts[0]:starts[0] + length], mats[0], out=sums)
+        for start, mat in zip(starts[1:], mats[1:]):
+            np.matmul(rows[start:start + length], mat, out=tap)
+            sums += tap
+        valid = acc[:nb * hg * wg].reshape(nb, hg, wg, cols)
+        valid = valid[:, t0:t0 + ts * oh:ts, t0:t0 + ts * ow:ts].transpose(0, 3, 1, 2)
+        if bias is None:
+            out[i0:i0 + nb] = valid
+        else:
+            np.add(valid, bias, out=out[i0:i0 + nb])
 
 
 def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
@@ -241,15 +260,10 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
 
     The padded input is laid out as NHWC rows, one per grid position, so
     tap (u, v) reads the rows u*Wp + v further on: the stride-1 result on
-    the grid is kh*kw shifted GEMMs, of which the output keeps every s-th
-    valid position. The batch runs in blocks of whole images, at least
-    one, of about CONV_BLOCK_ROWS grid rows: each block is padded into one
-    reused block-sized grid, its GEMMs run into one reused accumulator and
-    tap term, and its valid positions plus the bias go straight into the
-    NCHW output, so a block's working set stays in cache and no array
-    the size of the whole padded batch is built. The cache holds the
-    input itself, not a copy, for backward; the trainer's test-mode
-    adapter drops it.
+    the grid is kh*kw shifted GEMMs (``_tap_sums``, on blocks of whole
+    images), of which the output keeps every s-th valid position. The
+    cache holds the input itself, not a copy, for backward; the trainer's
+    test-mode adapter drops it.
     """
     n, c, h, w = x.dims
     f, wc, kh, kw = weights.dims
@@ -266,22 +280,10 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
 
     dtype = x.data.dtype
     wd = weights.data.astype(dtype, copy=False)
-    mats = wd.transpose(2, 3, 1, 0).reshape(kh * kw, c, f)
     b = bias.data.astype(dtype, copy=False).reshape(1, f, 1, 1)
-    taps = _tap_offsets(kh, kw, wp)
-    per = min(n, max(1, CONV_BLOCK_ROWS // (hp * wp)))  # images per block
-    grid = np.empty((per, hp, wp, c), dtype=dtype)
-    acc = np.empty((per * hp * wp, f), dtype=dtype)
-    term = np.empty((per * hp * wp - taps[-1], f), dtype=dtype)
     out = np.empty((n, f, ho, wo), dtype=dtype)
-    for i0 in range(0, n, per):
-        nb = min(per, n - i0)
-        _pad_into(grid[:nb], x.data[i0:i0 + nb], p)
-        rows = nb * hp * wp
-        length = rows - taps[-1]
-        _shifted_gemms(grid[:nb].reshape(rows, c), mats, taps, acc[:length], term[:length])
-        valid = acc[:rows].reshape(nb, hp, wp, f)[:, :s * ho:s, :s * wo:s]
-        np.add(valid.transpose(0, 3, 1, 2), b, out=out[i0:i0 + nb])
+    _tap_sums(x.data, (p, 1), wd.transpose(2, 3, 1, 0).reshape(kh * kw, c, f),
+              _tap_offsets(kh, kw, wp), (hp, wp), (0, s), out, b)
     return Tensor4(out), ConvCache(x.data, x.dims, wd, cfg)
 
 
@@ -290,12 +292,12 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None
     when ``cache.input_grad`` is False.
 
     grad_w[:, :, u, v] is one (f x K)(K x c) GEMM over the K output
-    positions, on the zero-padded input as an NHWC grid, built here for
-    the whole batch.
-    grad_x is the forward's shifted GEMMs run backwards: the gradient sits
-    on the padded grid (zero off the output positions, with (kh-1)*Wp +
-    kw-1 rows of zeros ahead of it), and tap (u, v) reads it u*Wp + v rows
-    back.
+    positions of the whole batch, its patch copied from the zero-padded
+    input as an NHWC grid into one reused buffer.
+    grad_x is the forward's shifted GEMMs run backwards on the same image
+    blocks: the gradient sits on the padded grid at the output positions
+    (zero elsewhere), tap (u, v) reads it u*Wp + v rows back, and grad_x
+    keeps the valid interior.
     """
     if cache is None:
         raise StateError("conv backward called without cached forward state")
@@ -308,29 +310,24 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None
     if go.shape != (n, f, ho, wo) or ho != conv_out_dim(h, kh, s, p) or wo != conv_out_dim(w, kw, s, p):
         raise ShapeError(f"grad_out dims {go.shape} do not match forward output")
     hp, wp = h + 2 * p, w + 2 * p
-    grid = np.empty((n, hp, wp, c), dtype=x.dtype)
-    _pad_into(grid, x, p)
 
     grad_b = go.sum(axis=(0, 2, 3)).reshape(1, f, 1, 1)
+    grid = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    grid[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
     go_fk = go.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+    patch = np.empty((n, ho, wo, c), dtype=x.dtype)
     grad_w = np.empty_like(wd)
     for u in range(kh):
         for v in range(kw):
-            patch = grid[:, u:u + s * ho:s, v:v + s * wo:s].reshape(n * ho * wo, c)
-            grad_w[:, :, u, v] = go_fk @ patch
-    del go_fk, grid
+            patch[...] = grid[:, u:u + s * ho:s, v:v + s * wo:s]
+            grad_w[:, :, u, v] = go_fk @ patch.reshape(n * ho * wo, c)
+    del go_fk, grid, patch
     if not input_grad:
         return None, Tensor4(grad_w), Tensor4(grad_b)
 
-    taps = _tap_offsets(kh, kw, wp)
-    lead, rows = taps[-1], n * hp * wp
-    go_grid = np.zeros((lead + rows, f), dtype=x.dtype)
-    go_grid[lead:].reshape(n, hp, wp, f)[:, :s * ho:s, :s * wo:s] = go.transpose(0, 2, 3, 1)
-    acc = np.empty((rows, c), dtype=x.dtype)
-    _shifted_gemms(go_grid, wd.transpose(2, 3, 0, 1).reshape(kh * kw, f, c),
-                   [lead - t for t in taps], acc, np.empty_like(acc))
-    del go_grid
-    gx = np.ascontiguousarray(acc.reshape(n, hp, wp, c)[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
+    gx = np.empty((n, c, h, w), dtype=x.dtype)
+    _tap_sums(go, (0, s), wd.transpose(2, 3, 0, 1).reshape(kh * kw, f, c),
+              [-t for t in _tap_offsets(kh, kw, wp)], (hp, wp), (p, 1), gx)
     return Tensor4(gx), Tensor4(grad_w), Tensor4(grad_b)
 
 

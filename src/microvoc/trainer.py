@@ -385,6 +385,7 @@ def train(config: TrainConfig, dataset: Dataset, *,
         loss_window.append(data_loss + penalty)
         adam_step(net.param_dict(trainable_only=True), grads, state,
                   replace(config.adam, alpha=lr))
+        del grads  # not kept alive through the next forward and backward
 
         if it % config.eval_every == 0:
             point = HistoryPoint(
@@ -616,10 +617,18 @@ def load_checkpoint(path) -> Checkpoint:
             state = AdamState()
             (state.t,) = r.unpack("<Q")
             (n_keys,) = r.unpack("<I")
+            params = net.param_dict()  # frozen layers' moments load too
             for _ in range(n_keys):
                 key = r.read_str()
+                if key not in params:
+                    raise CheckpointError(f"Adam state key {key!r} names no parameter of "
+                                          f"arch {arch!r}")
                 state.m[key] = r.read_tensor(np.float64)
                 state.v[key] = r.read_tensor(np.float64)
+                if not state.m[key].dims == state.v[key].dims == params[key].dims:
+                    raise CheckpointError(f"Adam state {key!r} dims {state.m[key].dims} and "
+                                          f"{state.v[key].dims} do not match the parameter's "
+                                          f"{params[key].dims}")
             adam_state = state
 
         if r.left:

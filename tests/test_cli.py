@@ -298,6 +298,20 @@ class TestTrainEvalPredict:
             assert text in err
         assert not (tmp_path / "rest").exists()
 
+    def test_resume_past_max_iterations_is_usage_error(self, tmp_path, dataset_dir, capsys):
+        _, manifest = dataset_dir
+        half_cfg = write_config(tmp_path / "half.cfg", manifest, tmp_path / "half",
+                                max_iterations=10, eval_every=10, checkpoint_every=10)
+        assert main(["train", "--config", str(half_cfg)]) == 0
+        capsys.readouterr()
+        resumed_cfg = write_config(
+            tmp_path / "rest.cfg", manifest, tmp_path / "rest", max_iterations=4,
+            eval_every=2, resume=str(tmp_path / "half" / "checkpoint_10.ckpt"))
+        assert main(["train", "--config", str(resumed_cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "max_iterations = 4" in err and "iteration 10" in err
+        assert not (tmp_path / "rest").exists()
+
     @pytest.mark.parametrize("every", [15, 5, -10])
     def test_checkpoint_every_off_the_evaluations_is_usage_error(
             self, tmp_path, dataset_dir, capsys, every):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microvoc import layers
-from microvoc.archdsl import parse
+from microvoc.archdsl import PRESETS, parse
 from microvoc.errors import ShapeError, StateError
 from microvoc.layers import (
     ConvConfig,
@@ -16,6 +16,7 @@ from microvoc.layers import (
     Mode,
     conv2d_backward,
     conv2d_forward,
+    conv_out_dim,
     dropout_apply,
     dropout_backward,
     fc_forward,
@@ -174,10 +175,6 @@ class TestConvGeometries:
                                   Tensor4.new((1, 4, 1, 1)), ConvConfig(4, (3, 3), 1, 2))
         assert cache.x is x.data  # a reference, not a copy
         assert cache.x_dims == (3, 2, 5, 7)
-        grid = np.full((3, 9, 11, 2), np.nan)
-        layers._pad_into(grid, cache.x, 2)
-        want = np.pad(x.data.transpose(0, 2, 3, 1), ((0, 0), (2, 2), (2, 2), (0, 0)))
-        assert grid.tobytes() == want.tobytes()
 
     def test_backward_without_input_gradient(self):
         rng = np.random.default_rng(32)
@@ -192,12 +189,10 @@ class TestConvGeometries:
         assert gb_only.data.tobytes() == gb.data.tobytes()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_blocked_forward_matches_whole_batch(data):
-    """Any block size gives the whole-batch forward (one block holding
-    every image) within rounding: the blocks change only the GEMMs' row
-    counts, and on some BLAS libraries that changes the last bits."""
+def _draw_conv_case(data):
+    """A random conv: input x and weights (standard normal, in a drawn
+    dtype), its config and output dims (ho, wo), a block size of up to
+    three padded images and the rng that drew the arrays."""
     k = data.draw(st.integers(1, 4), "k")
     stride = data.draw(st.integers(1, 3), "stride")
     pad = data.draw(st.integers(0, 2), "pad")
@@ -212,10 +207,21 @@ def test_blocked_forward_matches_whole_batch(data):
         h, w, pad = (ho - 1) * stride + k, (wo - 1) * stride + k, 0
     block_rows = data.draw(st.integers(1, 3 * (h + 2 * pad) * (w + 2 * pad)), "block_rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
-    args = (Tensor4(rng.standard_normal((n, c, h, w)).astype(dtype)),
-            Tensor4(rng.standard_normal((f, c, k, k)).astype(dtype)),
-            Tensor4(rng.standard_normal((1, f, 1, 1)).astype(dtype)),
-            ConvConfig(f, (k, k), stride, pad))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    wt = rng.standard_normal((f, c, k, k)).astype(dtype)
+    return x, wt, ConvConfig(f, (k, k), stride, pad), (ho, wo), block_rows, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_blocked_forward_matches_whole_batch(data):
+    """Any block size gives the whole-batch forward (one block holding
+    every image) within rounding: the blocks change only the GEMMs' row
+    counts, and on some BLAS libraries that changes the last bits."""
+    x, wt, cfg, (ho, wo), block_rows, rng = _draw_conv_case(data)
+    n, f, dtype = x.shape[0], cfg.filters, x.dtype
+    args = (Tensor4(x), Tensor4(wt),
+            Tensor4(rng.standard_normal((1, f, 1, 1)).astype(dtype)), cfg)
     with mock.patch.object(layers, "CONV_BLOCK_ROWS", 2**62):
         whole, _ = conv2d_forward(*args)
     with mock.patch.object(layers, "CONV_BLOCK_ROWS", block_rows):
@@ -225,6 +231,73 @@ def test_blocked_forward_matches_whole_batch(data):
     tol = 1e-5 if dtype == np.float32 else 1e-13
     np.testing.assert_allclose(blocked.data, whole.data, rtol=tol, atol=tol)
     assert cache.x is args[0].data
+
+
+def _backward_at(block_rows, cache, g):
+    with mock.patch.object(layers, "CONV_BLOCK_ROWS", block_rows):
+        return conv2d_backward(cache, g)
+
+
+def _assert_blocked_backward_matches_whole_batch(cache, g, block_rows, tol):
+    """The three gradients at ``block_rows`` against one block of the
+    whole batch; returns the blocked ones."""
+    whole = _backward_at(2**62, cache, g)
+    blocked = _backward_at(block_rows, cache, g)
+    for got, want in zip(blocked, whole):
+        assert got.data.dtype == want.data.dtype and got.data.flags.c_contiguous
+        np.testing.assert_allclose(got.data, want.data, rtol=tol, atol=tol)
+    return blocked
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_blocked_backward_matches_whole_batch(data):
+    """As for the forward: the input gradient runs on the forward's image
+    blocks, and any block size gives the one-block result within
+    rounding."""
+    x, wt, cfg, (ho, wo), block_rows, rng = _draw_conv_case(data)
+    cache = layers.ConvCache(x, x.shape, wt, cfg)
+    g = Tensor4(rng.standard_normal((x.shape[0], cfg.filters, ho, wo)).astype(x.dtype))
+    tol = 1e-5 if x.dtype == np.float32 else 1e-13
+    gx, _, _ = _assert_blocked_backward_matches_whole_batch(cache, g, block_rows, tol)
+    assert gx.dims == x.shape
+
+
+def _net_conv_geometries():
+    """(n, (c, h, w), ConvConfig) of each distinct conv layer of M1-M4 at
+    32x32 (n = 32) and 128x128 (n = 2), and of the c06 and c10 nets."""
+    nets = [(PRESETS[name], size, n) for size, n in ((32, 32), (128, 2))
+            for name in ("M1", "M2", "M3", "M4")]
+    nets += [("IMG-(Conv8-ReLU-MaxPool)-(FC32-ReLU-FC2)-Softmax", 32, 32),
+             ("IMG-(Conv4-ReLU-MaxPool)-(FC16-ReLU-FC2)-Softmax", 16, 32)]
+    found = []
+    for arch, size, n in nets:
+        dims = (3, size, size)
+        for layer in parse(arch, dims).realized:
+            case = (n, dims, layer.cfg)
+            if isinstance(layer.cfg, ConvConfig) and case not in found:
+                found.append(case)
+            dims = layer.out_dims
+    return [pytest.param(*case, id=f"n{case[0]}-c{case[1][0]}-h{case[1][1]}-f{case[2].filters}")
+            for case in found]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, dims, cfg", _net_conv_geometries())
+def test_blocked_backward_on_the_nets_geometries(n, dims, cfg, dtype):
+    """Each conv of the presets and the acceptance nets, at its default
+    block size, against one block of the whole batch."""
+    rng = np.random.default_rng(n + sum(dims) + cfg.filters)
+    k = cfg.kernel[0]
+    x = rng.standard_normal((n, *dims)).astype(dtype)
+    # weights at the scale of the input gradient's fan-in, so its sums stay near 1
+    wt = rng.standard_normal((cfg.filters, dims[0], k, k)) / math.sqrt(cfg.filters * k * k)
+    cache = layers.ConvCache(x, x.shape, wt.astype(dtype), cfg)
+    ho = conv_out_dim(dims[1], k, cfg.stride, cfg.pad)
+    wo = conv_out_dim(dims[2], k, cfg.stride, cfg.pad)
+    g = Tensor4(rng.standard_normal((n, cfg.filters, ho, wo)).astype(dtype))
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    _assert_blocked_backward_matches_whole_batch(cache, g, layers.CONV_BLOCK_ROWS, tol)
 
 
 class TestRelu:

@@ -390,6 +390,37 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
+    def test_adam_key_naming_no_parameter_rejected(self, tmp_path):
+        net = small_net(seed=22)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, AdamState.for_params(net.param_dict()))
+        data = path.read_bytes()
+        assert data.count(b"3.w") == 1  # the stored key; the arch string has no "3.w"
+        path.write_bytes(data.replace(b"3.w", b"3.x"))
+        with pytest.raises(CheckpointError, match="'3.x'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_adam_moments_with_other_dims_rejected(self, tmp_path, moment):
+        net = small_net(seed=23)
+        state = AdamState.for_params(net.param_dict())
+        dims = state.m["0.w"].dims
+        getattr(state, moment)["0.w"] = Tensor4(np.zeros((dims[1], dims[0], *dims[2:])))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, state)
+        with pytest.raises(CheckpointError, match="'0.w'"):
+            load_checkpoint(path)
+
+    def test_adam_state_of_frozen_layers_loads(self, tmp_path):
+        net = small_net(seed=24)
+        state = AdamState.for_params(net.param_dict())
+        freeze(net, lambda i, ls: ls.kind == "conv")
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, state)
+        ck = load_checkpoint(path)
+        assert ck.net.nodes[0].frozen
+        assert sorted(ck.adam_state.m) == sorted(ck.adam_state.v) == sorted(net.param_dict())
+
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
