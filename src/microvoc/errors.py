@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that config
+values are finite."""
+
+import math
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of ``obj``'s fields ``names`` that
+    is NaN or infinite: one such value turns every later loss into NaN."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class MicrovocError(Exception):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_finite
 from .tensor import Dims, Tensor4
 
 
@@ -23,6 +24,7 @@ class InitSpec:
     std: float = 0.005
 
     def __post_init__(self):
+        require_finite(self, "std")
         if self.kind not in ("xavier", "gaussian", "zero"):
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.kind == "gaussian" and not self.std > 0:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import ShapeError, StateError, require_finite
 from .tensor import Tensor4
 
 
@@ -80,6 +80,7 @@ class LrnConfig:
     beta: float = DEFAULT_LRN["beta"]
 
     def __post_init__(self):
+        require_finite(self, "k", "alpha", "beta")
         if self.n < 1 or self.n % 2 == 0:
             raise ValueError(f"window size n must be odd and >= 1, got {self.n}")
         if not self.k > 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import ShapeError, StateError, require_finite
 from .tensor import Tensor4
 
 # t is serialized as uint64 in checkpoints
@@ -51,6 +51,7 @@ class AdamConfig:
     lam: float = 5e-4  # L2 strength; applied to weights only by default
 
     def __post_init__(self):
+        require_finite(self, "alpha", "beta1", "beta2", "epsilon", "lam")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
@@ -208,6 +209,7 @@ class SchedulerConfig:
     floor: float = 1e-8
 
     def __post_init__(self):
+        require_finite(self, "min_delta", "factor", "floor")
         if self.metric not in ("val_acc", "train_loss"):
             raise ValueError(f"unknown scheduler metric {self.metric!r}")
         if self.patience < 1:

@@ -40,7 +40,8 @@ from .layers import (
     relu_forward,
     softmax_cross_entropy,
 )
-from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig, adam_step, apply_l2
+from .optim import (CHUNK, AdamConfig, AdamState, PlateauScheduler, SchedulerConfig, adam_step,
+                    apply_l2)
 from .tensor import Tensor4
 
 # seed-stream tags: keep init, shuffling and dropout streams independent
@@ -442,11 +443,27 @@ class Checkpoint:
         return sched
 
 
+def _write_str(fh, s: str) -> None:
+    raw = s.encode("utf-8")
+    fh.write(struct.pack("<I", len(raw)) + raw)
+
+
+def _chunks(arr: np.ndarray):
+    """Each ``CHUNK``-element piece of ``arr``'s flat view, with the "<f8" buffer it
+    moves through: the piece itself when ``arr`` is "<f8", else one reused buffer."""
+    flat = arr.reshape(-1)
+    own = flat.dtype == np.dtype("<f8")
+    buf = None if own else np.empty(min(CHUNK, flat.size), dtype="<f8")
+    for lo in range(0, flat.size, CHUNK):
+        part = flat[lo:lo + CHUNK]
+        yield part, part if own else buf[:part.size]
+
+
 def _write_tensor(fh, t: Tensor4) -> None:
     fh.write(struct.pack("<4I", *t.dims))
-    # written from the array's buffer: a bytes copy of a large tensor costs
-    # about as much as the write itself
-    fh.write(np.ascontiguousarray(t.data, dtype="<f8").data)
+    for part, buf in _chunks(t.data):
+        np.copyto(buf, part)  # returns at once when buf is part
+        fh.write(buf.data)
 
 
 class _Reader:
@@ -475,12 +492,17 @@ class _Reader:
         except UnicodeDecodeError as e:
             raise CheckpointError(f"corrupt string: {e}") from e
 
-    def read_tensor(self, dtype) -> Tensor4:
+    def read_into(self, arr: np.ndarray, what: str) -> None:
+        """Fill ``arr`` from a stored tensor a chunk at a time; stored dims
+        that are not ``arr``'s raise before any data is read."""
         dims = self.unpack("<4I")
-        if 0 in dims:
-            raise CheckpointError(f"tensor dims {dims} must all be >= 1")
-        data = np.frombuffer(self.read(8 * math.prod(dims)), dtype="<f8").reshape(dims)
-        return Tensor4(data.astype(dtype))
+        if dims != arr.shape:
+            raise CheckpointError(f"checkpoint tensor {what} dims {dims} != arch's {arr.shape}")
+        for part, buf in _chunks(arr):
+            if buf.nbytes > self.left or self.fh.readinto(buf) != buf.nbytes:
+                raise CheckpointError("checkpoint truncated")
+            self.left -= buf.nbytes
+            part[...] = buf  # returns at once when buf is part
 
 
 @contextlib.contextmanager
@@ -513,39 +535,28 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
         flags |= _FLAG_ADAM
     if channel_means is not None:
         flags |= _FLAG_MEANS
-    sched_best = float("nan")
-    sched_bad = 0
-    if scheduler is not None:
-        sched_best = scheduler.best if scheduler.best is not None else float("nan")
-        sched_bad = scheduler.bad_count
-    arch = archdsl.render(net.spec).encode("utf-8")
-    names = class_names or []
+    sched = scheduler or PlateauScheduler(SchedulerConfig())
+    sched_best = float("nan") if sched.best is None else sched.best
     means = channel_means if channel_means is not None else np.zeros(3)
 
     with _replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, flags))
-        fh.write(struct.pack("<I", len(arch)))
-        fh.write(arch)
+        _write_str(fh, archdsl.render(net.spec))
         fh.write(struct.pack("<3I", *net.spec.input_dims))
         fh.write(struct.pack("<QQd", net.seed, iteration,
                              alpha if alpha is not None else 0.0))
-        fh.write(struct.pack("<dI", sched_best, sched_bad))
+        fh.write(struct.pack("<dI", sched_best, sched.bad_count))
         fh.write(struct.pack("<3d", *np.asarray(means, dtype=np.float64)))
+        names = class_names or []
         fh.write(struct.pack("<I", len(names)))
         for name in names:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+            _write_str(fh, name)
 
-        nodes = net.nodes
-        fh.write(struct.pack("<I", len(nodes)))
-        bitmap = bytearray((len(nodes) + 7) // 8)
-        for i, node in enumerate(nodes):
-            if node.frozen:
-                bitmap[i // 8] |= 1 << (i % 8)
-        fh.write(bytes(bitmap))
-        for node in nodes:
+        fh.write(struct.pack("<I", len(net.nodes)))
+        # bit i of the freeze bitmap, least significant first, is layer i's flag
+        fh.write(np.packbits([node.frozen for node in net.nodes], bitorder="little").data)
+        for node in net.nodes:
             fh.write(struct.pack("<B", len(node.params)))
             for name in sorted(node.params):
                 _write_tensor(fh, node.params[name])
@@ -555,9 +566,7 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
             keys = sorted(adam_state.m)
             fh.write(struct.pack("<I", len(keys)))
             for key in keys:
-                raw = key.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
+                _write_str(fh, key)
                 _write_tensor(fh, adam_state.m[key])
                 _write_tensor(fh, adam_state.v[key])
 
@@ -602,15 +611,11 @@ def load_checkpoint(path) -> Checkpoint:
         bitmap = r.read((n_layers + 7) // 8)
         for i, node in enumerate(net.nodes):
             node.frozen = bool(bitmap[i // 8] >> (i % 8) & 1)
-        for node in net.nodes:
             (n_tensors,) = r.unpack("<B")
             if n_tensors != len(node.params):
                 raise CheckpointError("parameter tensor count mismatch")
             for name in sorted(node.params):
-                t = r.read_tensor(dtype)
-                if t.dims != node.params[name].dims:
-                    raise CheckpointError(f"tensor dims {t.dims} do not match spec")
-                node.params[name] = t
+                r.read_into(node.params[name].data, f"{i}.{name}")
 
         adam_state = None
         if flags & _FLAG_ADAM:
@@ -623,12 +628,9 @@ def load_checkpoint(path) -> Checkpoint:
                 if key not in params:
                     raise CheckpointError(f"Adam state key {key!r} names no parameter of "
                                           f"arch {arch!r}")
-                state.m[key] = r.read_tensor(np.float64)
-                state.v[key] = r.read_tensor(np.float64)
-                if not state.m[key].dims == state.v[key].dims == params[key].dims:
-                    raise CheckpointError(f"Adam state {key!r} dims {state.m[key].dims} and "
-                                          f"{state.v[key].dims} do not match the parameter's "
-                                          f"{params[key].dims}")
+                state.add_zero_moments(key, params[key].dims)
+                r.read_into(state.m[key].data, f"Adam m of {key!r}")
+                r.read_into(state.v[key].data, f"Adam v of {key!r}")
             adam_state = state
 
         if r.left:

@@ -156,6 +156,9 @@ class TestInferShapes:
         "IMG-Dropout[p=1.5]-FC2",
         "IMG-LRN[n=4]-FC2",
         "IMG-MaxPool[k=0]-FC2",
+        "IMG-LRN[alpha=1e999]-FC2",
+        "IMG-LRN[k=1e999]-FC2",
+        "IMG-LRN[beta=1e999]-FC2",
     ])
     def test_invalid_override_values_rejected(self, text):
         with pytest.raises(ArchError, match="layer 0"):

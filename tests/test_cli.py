@@ -339,6 +339,10 @@ class TestTrainEvalPredict:
         ("alpha", 0), ("beta1", 1.0), ("epsilon", 0), ("patience", 0), ("factor", 1),
         ("scheduler_metric", "foo"), ("l2_lambda", -1), ("dropout_p", 1.0),
         ("dropout_p", -0.5), ("resize", 0), ("resize", -3),
+        # non-finite values train to NaN losses
+        ("l2_lambda", "nan"), ("l2_lambda", "inf"), ("alpha", "inf"), ("epsilon", "inf"),
+        ("factor", "inf"), ("min_delta", "nan"), ("alpha_floor", "nan"),
+        ("init_fc", "gaussian:inf"),
     ])
     def test_out_of_range_value_is_usage_error_naming_its_key(
             self, tmp_path, dataset_dir, capsys, key, value):

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from microvoc.augment import Sample
 from microvoc.errors import CheckpointError, StateError, VersionError
 from microvoc.initializers import InitSpec
 from microvoc.layers import Mode, softmax_cross_entropy
-from microvoc.optim import AdamState, PlateauScheduler, SchedulerConfig
+from microvoc.optim import CHUNK, AdamState, PlateauScheduler, SchedulerConfig
 from microvoc.tensor import Tensor4
 from microvoc.trainer import (
     TrainConfig,
@@ -456,6 +458,81 @@ class TestCorruptCheckpoint:
             load_checkpoint(path)
         except CheckpointError:  # VersionError is one
             pass
+
+
+@pytest.fixture(scope="module")
+def big_checkpoint(tmp_path_factory):
+    """A float32 net with Adam state whose FC128 weights, 128 x 4096, span
+    16 chunks, and the bytes of its checkpoint."""
+    net = build(archdsl.parse("IMG-(Conv16-ReLU-MaxPool)-(FC128-ReLU-FC2)-Softmax",
+                              (3, 32, 32)), seed=2, dtype=np.float32)
+    assert net.param_dict()["3.w"].dims == (128, 4096, 1, 1)
+    state = AdamState.for_params(net.param_dict())
+    rng = np.random.default_rng(3)
+    for moments in (state.m, state.v):
+        for t in moments.values():
+            t.data[...] = rng.random(t.dims)
+    state.t = 9
+    path = tmp_path_factory.mktemp("big") / "big.ckpt"
+    save_checkpoint(path, net, state)
+    return net, state, path.read_bytes()
+
+
+class TestMultiChunkCheckpoint:
+    FC_DIMS = struct.pack("<4I", 128, 4096, 1, 1)  # stored for the weights and both moments
+
+    def test_save_and_load_need_only_a_few_chunks(self, big_checkpoint, tmp_path):
+        net, state, _ = big_checkpoint
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(path, net, state)
+            save_extra = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            ck = load_checkpoint(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the FC weights alone is 16 chunk buffers
+        assert save_extra <= 3 * 8 * CHUNK
+        assert peak - kept <= 3 * 8 * CHUNK
+        for key, p in net.param_dict().items():
+            assert np.array_equal(ck.net.param_dict()[key].data, p.data)
+            assert np.array_equal(ck.adam_state.m[key].data, state.m[key].data)
+            assert np.array_equal(ck.adam_state.v[key].data, state.v[key].data)
+
+    def dims_at(self, data: bytes, which: int) -> int:
+        """Offset of the stored FC128 dims: 0 the weights', 1 and 2 their moments'."""
+        assert data.count(self.FC_DIMS) == 3
+        at = -1
+        for _ in range(which + 1):
+            at = data.index(self.FC_DIMS, at + 1)
+        return at
+
+    # a cut in a parameter tensor leaves fewer bytes than the arch's
+    # parameters need, which the loader checks before building the net
+    @pytest.mark.parametrize("which, error", [(0, "more parameters than the file holds"),
+                                              (1, "truncated"), (2, "truncated")])
+    @pytest.mark.parametrize("chunks", [0, 7, 15])
+    def test_cut_inside_the_tensor_rejected(self, big_checkpoint, tmp_path, which, error,
+                                            chunks):
+        data = big_checkpoint[2]
+        start = self.dims_at(data, which) + len(self.FC_DIMS)
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(data[:start + 8 * chunks * CHUNK + 100])
+        with pytest.raises(CheckpointError, match=error):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("which, what", [(0, "3.w"), (1, "m of '3.w'"), (2, "v of '3.w'")])
+    def test_other_dims_of_the_same_size_rejected(self, big_checkpoint, tmp_path, which, what):
+        data = big_checkpoint[2]
+        at = self.dims_at(data, which)
+        swapped = struct.pack("<4I", 4096, 128, 1, 1)
+        path = tmp_path / "swapped.ckpt"
+        path.write_bytes(data[:at] + swapped + data[at + len(swapped):])
+        with pytest.raises(CheckpointError, match=f"{what}.*dims"):
+            load_checkpoint(path)
 
 
 class TestResume:

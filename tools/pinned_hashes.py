@@ -17,7 +17,10 @@ A change that must not alter what microvoc computes keeps the sha256 of
 
 Each ``model.ckpt`` holds the Adam state, the scheduler, the alpha of the
 last evaluation and zero channel means. The script prints both hashes of
-each run and exits 1 if any differs from its pinned value.
+each run, then loads each ``model.ckpt``, saves it again and prints
+``ok`` when the bytes match; it exits 1 if a hash differs from its pinned
+value or a round trip changes a byte. The M3 run, float32 with Adam state
+and FC tensors of many chunks, checks the checkpoint decoder's casts.
 
 This is not a CI gate: GEMM results depend on the BLAS library and the
 CPU (its kernels pick their blocking and instructions by CPU), so the
@@ -40,7 +43,7 @@ from synthdata import bar_dataset, fourbar_dataset  # noqa: E402
 
 from microvoc import archdsl  # noqa: E402
 from microvoc.optim import AdamState, PlateauScheduler  # noqa: E402
-from microvoc.trainer import TrainConfig, save_checkpoint, train  # noqa: E402
+from microvoc.trainer import TrainConfig, load_checkpoint, save_checkpoint, train  # noqa: E402
 
 #: name -> (dataset, config, pinned history.csv sha256, pinned model.ckpt sha256)
 RUNS = {
@@ -81,6 +84,17 @@ def run_hashes(make_dataset, config: TrainConfig, out: Path) -> tuple[str, str]:
                  for name in ("history.csv", "model.ckpt"))
 
 
+def round_trips(config: TrainConfig, path: Path) -> bool:
+    """Whether loading the checkpoint at ``path`` and saving it again
+    gives the same bytes."""
+    ck = load_checkpoint(path)
+    again = path.with_suffix(".again")
+    save_checkpoint(again, ck.net, ck.adam_state, iteration=ck.iteration, alpha=ck.alpha,
+                    scheduler=ck.make_scheduler(config.scheduler),
+                    channel_means=ck.channel_means, class_names=ck.class_names)
+    return again.read_bytes() == path.read_bytes()
+
+
 def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +107,9 @@ def main() -> int:
                 bad += not ok
                 print(f"{name} {what} {got} {'ok' if ok else 'MISMATCH, pinned ' + want}",
                       flush=True)
+            ok = round_trips(config, out / "model.ckpt")
+            bad += not ok
+            print(f"{name} model.ckpt load+save {'ok' if ok else 'MISMATCH'}", flush=True)
     return 1 if bad else 0
 
 
