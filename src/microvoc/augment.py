@@ -15,6 +15,7 @@ un-augmented split.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -71,16 +72,19 @@ def _id_stream(seed: int, sample_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, _STREAM_AUG, int.from_bytes(digest[:8], "little")])
 
 
-def resize_to(image: Tensor4, target: tuple[int, int] = (128, 128)) -> Tensor4:
-    """Bilinear resample to target (height, width), corner-aligned so a
-    same-size call is the identity. Interpolation is convex, so outputs
-    stay within the source value range."""
-    n, c, h, w = image.dims
-    th, tw = target
-    if th < 1 or tw < 1:
-        raise ValueError(f"target dims must be >= 1, got {target}")
-    if (h, w) == (th, tw):
-        return image.copy()
+#: resize plans kept, one per (h, w, th, tw) geometry. A plan holds
+#: 64 bytes per output pixel, so the cache holds at most
+#: RESIZE_PLANS * 64 * th * tw bytes: 32 MiB at 128x128, 2 MiB at 32x32.
+RESIZE_PLANS = 32
+
+
+@functools.lru_cache(maxsize=RESIZE_PLANS)
+def _resize_plan(h: int, w: int, th: int, tw: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each output pixel of a (h, w) -> (th, tw) resize, in row-major
+    order: the flat source offsets of its four neighbours A, B (row y0,
+    columns x0 and x1) and C, D (row y1), shape (4, th*tw), and its weights
+    1-fx, fx, 1-fy, fy as whole planes, shape (4, th*tw). Read-only, since
+    every call of one geometry shares them."""
 
     def grid(out_size: int, in_size: int) -> np.ndarray:
         if out_size == 1:
@@ -89,18 +93,46 @@ def resize_to(image: Tensor4, target: tuple[int, int] = (128, 128)) -> Tensor4:
 
     ys = grid(th, h)
     xs = grid(tw, w)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0).reshape(1, 1, th, 1)
-    fx = (xs - x0).reshape(1, 1, 1, tw)
+    fy = (ys - y0).reshape(th, 1)
+    fx = xs - x0
+    offsets = np.empty((4, th, tw), dtype=np.intp)
+    weights = np.empty((4, th, tw))
+    for k, (rows, cols) in enumerate([(y0, x0), (y0, x1), (y1, x0), (y1, x1)]):
+        np.add(rows.reshape(th, 1) * w, cols, out=offsets[k])
+    for k, plane in enumerate([1 - fx, fx, 1 - fy, fy]):
+        weights[k] = plane
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets.reshape(4, th * tw), weights.reshape(4, th * tw)
 
-    d = image.data
-    top = d[:, :, y0][:, :, :, x0] * (1 - fx) + d[:, :, y0][:, :, :, x1] * fx
-    bot = d[:, :, y1][:, :, :, x0] * (1 - fx) + d[:, :, y1][:, :, :, x1] * fx
-    out = top * (1 - fy) + bot * fy
-    return Tensor4(out.astype(d.dtype, copy=False))
+
+def resize_to(image: Tensor4, target: tuple[int, int] = (128, 128)) -> Tensor4:
+    """Bilinear resample to target (height, width), corner-aligned so a
+    same-size call is the identity. Interpolation is convex, so outputs
+    stay within the source value range.
+
+    Each output pixel is ``(A*(1-fx) + B*fx)*(1-fy) + (C*(1-fx) + D*fx)*fy``
+    over its four neighbours, computed in float64 from a plan cached per
+    geometry (``RESIZE_PLANS`` of them) and cast to the input dtype."""
+    n, c, h, w = image.dims
+    th, tw = target
+    if th < 1 or tw < 1:
+        raise ValueError(f"target dims must be >= 1, got {target}")
+    if (h, w) == (th, tw):
+        return image.copy()
+    offsets, (wx0, wx1, wy0, wy1) = _resize_plan(h, w, th, tw)
+    g = image.data.reshape(n * c, h * w).take(offsets, axis=1)  # (n*c, 4, th*tw)
+    top = g[:, 0] * wx0
+    top += g[:, 1] * wx1
+    bot = g[:, 2] * wx0
+    bot += g[:, 3] * wx1
+    top *= wy0
+    bot *= wy1
+    top += bot
+    return Tensor4(top.reshape(n, c, th, tw).astype(image.dtype, copy=False))
 
 
 def _crop_window(image: Tensor4, crop: tuple[int, int],

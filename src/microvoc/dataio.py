@@ -15,6 +15,8 @@ baseline image format; PNG works when Pillow is installed.
 from __future__ import annotations
 
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,46 +38,36 @@ VOC_CLASSES = (
 )
 
 
-def _read_ppm_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping '#' comments."""
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ValueError("truncated PPM header")
-    return data[start:pos], pos
+#: a P6 header: the magic, then width, height and maxval, each after
+#: whitespace and '#' comments, then the one whitespace byte before the samples
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def decode_ppm(data: bytes) -> np.ndarray:
-    """Binary PPM (P6) to a (3, H, W) float array of raw values."""
+    """Binary PPM (P6) to a (3, H, W) float64 array of values in
+    [0, 255]: samples of a maxval below 255 are scaled by 255/maxval, and
+    a sample above maxval is an error."""
     if data[:2] != b"P6":
         raise ValueError("not a P6 PPM file")
-    pos = 2
-    fields = []
-    for _ in range(3):
-        tok, pos = _read_ppm_token(data, pos)
-        fields.append(int(tok))
-    width, height, maxval = fields
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ValueError("truncated or malformed PPM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ValueError(f"bad PPM dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise ValueError(f"unsupported PPM maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
     expected = width * height * 3
-    raw = data[pos:pos + expected]
-    if len(raw) != expected:
+    if len(data) - header.end() < expected:
         raise ValueError("truncated PPM pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    return arr.transpose(2, 0, 1).astype(np.float64)
+    raw = np.frombuffer(data, np.uint8, expected, header.end())
+    arr = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64, order="C")
+    if maxval < 255:
+        if raw.max() > maxval:
+            raise ValueError(f"PPM sample {raw.max()} above maxval {maxval}")
+        arr *= 255.0
+        arr /= maxval
+    return arr
 
 
 def encode_ppm(image: np.ndarray) -> bytes:
@@ -105,7 +97,8 @@ def _decode_png(data: bytes) -> np.ndarray:
 
 def read_image(path) -> np.ndarray:
     """Decode a PPM (P6) or PNG file to (3, H, W) raw values in [0, 255]."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:2] == b"P6":
         return decode_ppm(data)
     if data[:8] == b"\x89PNG\r\n\x1a\n":
@@ -147,9 +140,8 @@ def load_image(path, size: tuple[int, int], channel_means=None) -> Tensor4:
     img = Tensor4(read_image(path)[np.newaxis])
     if img.dims[2:] != size:
         img = resize_to(img, size)
-    if channel_means is not None:
-        means = np.asarray(channel_means, dtype=np.float64)
-        img = Tensor4(img.data - means.reshape(1, -1, 1, 1))
+    if channel_means is not None:  # img holds a fresh array either way
+        img.data -= np.asarray(channel_means, dtype=np.float64).reshape(1, -1, 1, 1)
     return img
 
 
@@ -164,7 +156,7 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
     written next to the manifest, or to ``stats_path``.
     """
     manifest_path = Path(manifest_path)
-    root = Path(image_root) if image_root is not None else manifest_path.parent
+    root = os.fspath(image_root if image_root is not None else manifest_path.parent)
     class_names = list(class_names)
     index = {name: i for i, name in enumerate(class_names)}
 
@@ -173,7 +165,7 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
     failures: list[tuple[int, str, str]] = []
     for rel, label, lineno in records:
         try:
-            samples.append(Sample(load_image(root / rel, resize), index[label], rel))
+            samples.append(Sample(load_image(os.path.join(root, rel), resize), index[label], rel))
         except (OSError, ValueError) as e:
             failures.append((lineno, rel, str(e)))
     if failures:
@@ -206,8 +198,8 @@ def load_eval_samples(manifest_path, image_root=None, *, class_names=VOC_CLASSES
     """Load every record of a held-out manifest without splitting,
     centered with the supplied channel means (from a checkpoint)."""
     manifest_path = Path(manifest_path)
-    root = Path(image_root) if image_root is not None else manifest_path.parent
+    root = os.fspath(image_root if image_root is not None else manifest_path.parent)
     class_names = list(class_names)
     index = {name: i for i, name in enumerate(class_names)}
-    return [Sample(load_image(root / rel, resize, channel_means), index[label], rel)
+    return [Sample(load_image(os.path.join(root, rel), resize, channel_means), index[label], rel)
             for rel, label, _ in read_manifest(manifest_path, class_names)]

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import microvoc
 from microvoc.augment import (
+    RESIZE_PLANS,
     Dataset,
     Sample,
+    _resize_plan,
     _crop_window,
     _id_stream,
     augment_train_split,
@@ -74,6 +76,89 @@ class TestResize:
         img = image([[[[0.0, 10.0]]]])
         out = resize_to(img, (1, 3))
         assert np.allclose(out.data.ravel(), [0.0, 5.0, 10.0])
+
+    @pytest.mark.parametrize("target", [(0, 4), (4, 0), (-1, 4), (4, -3)])
+    def test_target_below_one_rejected(self, target):
+        with pytest.raises(ValueError):
+            resize_to(gray(1), target)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_oracle_in_any_call_order(self, data):
+        """Same bytes as the pre-plan formula, +-inf and -0 included,
+        whether a geometry's plan is built by the call or cached. NaN
+        must sit where the formula puts it; its sign is not compared:
+        which NaN of a NaN + NaN sum NumPy returns depends on the
+        element's place in its loop, and the formula's loops ran over
+        fancy-indexed arrays in their own memory order."""
+        side = st.integers(1, 9)
+        geometries = data.draw(st.lists(st.tuples(side, side, side, side),
+                                        min_size=1, max_size=6))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        n, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        calls = []
+        for h, w, th, tw in geometries:
+            x = rng.normal(0.0, 100.0, (n, c, h, w))
+            special = rng.random(x.shape) < 0.15
+            x[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], int(special.sum()))
+            calls.append((Tensor4(x.astype(dtype)), (th, tw)))
+        order = data.draw(st.permutations(range(len(calls))))
+        _resize_plan.cache_clear()
+        with np.errstate(invalid="ignore"):
+            want = [resize_oracle(img, target) for img, target in calls]
+            for i in list(range(len(calls))) + order:  # misses, then hits
+                img, target = calls[i]
+                got = resize_to(img, target).data
+                assert got.dtype == want[i].dtype and got.shape == want[i].shape
+                assert nan_signless(got).tobytes() == nan_signless(want[i]).tobytes()
+
+    def test_plan_cache_bounded_and_evictions_keep_bytes(self):
+        rng = np.random.default_rng(5)
+        img = Tensor4(rng.normal(0.0, 100.0, (2, 3, 7, 9)))
+        targets = [(t, t + 1) for t in range(1, RESIZE_PLANS + 6)]
+        _resize_plan.cache_clear()
+        for _ in range(2):
+            for target in targets:
+                got = resize_to(img, target).data
+                assert got.tobytes() == resize_oracle(img, target).tobytes()
+        assert _resize_plan.cache_info().currsize == RESIZE_PLANS
+
+
+def nan_signless(a):
+    """A copy of ``a`` with every NaN replaced by one positive quiet NaN."""
+    out = a.copy()
+    out[np.isnan(out)] = np.nan
+    return out
+
+
+def resize_oracle(image, target):
+    """resize_to before its per-geometry plan, verbatim: two-level
+    fancy-index gathers and broadcast weights, in float64."""
+    n, c, h, w = image.dims
+    th, tw = target
+    if (h, w) == (th, tw):
+        return image.data.copy()
+
+    def grid(out_size, in_size):
+        if out_size == 1:
+            return np.zeros(1)
+        return np.arange(out_size) * (in_size - 1) / (out_size - 1)
+
+    ys = grid(th, h)
+    xs = grid(tw, w)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0).reshape(1, 1, th, 1)
+    fx = (xs - x0).reshape(1, 1, 1, tw)
+
+    d = image.data
+    top = d[:, :, y0][:, :, :, x0] * (1 - fx) + d[:, :, y0][:, :, :, x1] * fx
+    bot = d[:, :, y1][:, :, :, x0] * (1 - fx) + d[:, :, y1][:, :, :, x1] * fx
+    out = top * (1 - fy) + bot * fy
+    return out.astype(d.dtype, copy=False)
 
 
 class TestHflip:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,19 @@ class TestPpm:
         decoded = decode_ppm(encode_ppm(img))
         assert decoded.min() == 0.0
         assert decoded.max() == 255.0
+
+    def test_comments_and_mixed_whitespace_between_every_field(self):
+        out = decode_ppm(b"P6#a\n 2\t#b\n1\r\n#c\n255\n" + bytes(range(6)))
+        assert out.tolist() == [[[0.0, 3.0]], [[1.0, 4.0]], [[2.0, 5.0]]]
+
+    def test_every_maxval_maps_its_range_onto_0_255(self):
+        for maxval in range(1, 256):
+            out = decode_ppm(b"P6\n1 1\n%d\n" % maxval + bytes([0, maxval, maxval // 2]))
+            assert out.ravel().tolist() == [0.0, 255.0, (maxval // 2) * 255.0 / maxval]
+
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(ValueError, match="maxval 15"):
+            decode_ppm(b"P6\n1 1\n15\n" + bytes([200, 15, 0]))
 
 
 class TestReadImage:
@@ -183,6 +197,51 @@ class TestIngest:
         assert len(ds.samples) == 120
         stats = json.loads((tmp_path / "data.manifest.stats.json").read_text())
         assert len(stats["failed_records"]) == 1
+
+    def test_sample_above_maxval_is_a_failed_record(self, tmp_path):
+        records = [(f"i{k}.ppm", "dog") for k in range(120)]
+        manifest = make_dataset_dir(tmp_path, records, size=4)
+        (tmp_path / "over.ppm").write_bytes(b"P6\n1 1\n15\n" + bytes([200, 15, 0]))
+        manifest.write_text(manifest.read_text() + "over.ppm\tdog\n")
+        ds = ingest(manifest, seed=1, resize=(4, 4))
+        assert len(ds.samples) == 120
+        stats = json.loads((tmp_path / "data.manifest.stats.json").read_text())
+        [failed] = stats["failed_records"]
+        assert failed["path"] == "over.ppm" and "maxval 15" in failed["error"]
+
+
+#: perfbench/inputs.py's SOURCE_SIZES, the (height, width) of its images
+PIN_SOURCE_SIZES = ((40, 48), (48, 40), (36, 52), (52, 36), (44, 56), (60, 38))
+#: ``ingestion_digest`` as computed before resize plans were cached. The
+#: path from PPM bytes to samples makes no BLAS call (elementwise IEEE
+#: arithmetic and the channel-mean sums), so unlike tools/pinned_hashes.py
+#: the value does not depend on the host's BLAS library
+PINNED_INGESTION_SHA256 = "7a4d86439a7367cc7547652a10cddaa69910b39cdc5d28ab8ca520a187af4138"
+
+
+def ingestion_digest(root):
+    """sha256 over the id, label and pixel bytes of every sample that
+    ``ingest`` at resize 32 gives for a seeded set of non-square PPMs,
+    then of every sample ``load_eval_samples`` gives with ingest's means."""
+    rng = np.random.default_rng(1414)
+    lines = [MANIFEST_HEADER]
+    for k in range(30):
+        h, w = PIN_SOURCE_SIZES[k % len(PIN_SOURCE_SIZES)]
+        write_ppm(root / f"p{k:02d}.ppm", rng.integers(0, 256, (3, h, w)).astype(np.float64))
+        lines.append(f"p{k:02d}.ppm\t{VOC_CLASSES[int(rng.integers(0, len(VOC_CLASSES)))]}")
+    manifest = root / "pin.manifest"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = ingest(manifest, seed=3, resize=(32, 32))
+    evals = load_eval_samples(manifest, resize=(32, 32), channel_means=ds.channel_means)
+    digest = hashlib.sha256()
+    for s in ds.samples + evals:
+        digest.update(f"{s.id}\t{s.label}\n".encode())
+        digest.update(s.image.data.tobytes())
+    return digest.hexdigest()
+
+
+def test_ingestion_bytes_pinned(tmp_path):
+    assert ingestion_digest(tmp_path) == PINNED_INGESTION_SHA256
 
 
 class TestLoadEvalSamples:
