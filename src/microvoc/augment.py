@@ -209,7 +209,9 @@ def split_60_40(samples: list[Sample], seed: int,
 
 def mean_subtract(dataset: Dataset) -> Dataset:
     """Subtract the train split's per-channel scalar means from every
-    image in both splits; records the means on the dataset."""
+    image in both splits, in place, and return the dataset over the same
+    samples with the means recorded. An image array that several samples
+    share is centered once."""
     train = dataset.train_samples()
     if not train:
         raise StateError("cannot compute channel means: train split is empty")
@@ -220,11 +222,9 @@ def mean_subtract(dataset: Dataset) -> Dataset:
         sums += s.image.data.sum(axis=(0, 2, 3))
         count += s.image.dims[2] * s.image.dims[3]
     means = sums / count
-    centered = [
-        replace(s, image=Tensor4(s.image.data - means.reshape(1, c, 1, 1)))
-        for s in dataset.samples
-    ]
-    return Dataset(centered, list(dataset.split), means, dataset.class_names)
+    for data in {id(s.image.data): s.image.data for s in dataset.samples}.values():
+        data -= means.reshape(1, c, 1, 1)
+    return replace(dataset, channel_means=means)
 
 
 def reduce_multilabel(labels) -> str:

@@ -16,16 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import archdsl, dataio, gradcheck, trainer
-from .errors import (
-    ArchError,
-    CheckpointError,
-    ConfigError,
-    IngestError,
-    ManifestError,
-    MicrovocError,
-)
+from .errors import ArchError, ConfigError, MicrovocError
 from .initializers import InitSpec
-from .layers import DropoutConfig, Mode
+from .layers import Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from .trainer import TrainConfig
 
@@ -141,12 +134,8 @@ def _checked(obj, cfg: RunConfig, **keys: str):
 
 
 def to_train_config(cfg: RunConfig) -> TrainConfig:
-    if cfg.precision not in ("float64", "float32"):
-        raise ConfigError(f"precision must be float64 or float32, got {cfg.precision!r}")
     if cfg.resize < 1:
         raise ConfigError(f"resize must be >= 1, got {cfg.resize}")
-    # checked whether or not the arch has a Dropout layer
-    _checked(DropoutConfig(), cfg, p="dropout_p")
     adam = _checked(AdamConfig(), cfg, alpha="alpha", beta1="beta1", beta2="beta2",
                     epsilon="epsilon", lam="l2_lambda")
     scheduler = _checked(SchedulerConfig(), cfg, metric="scheduler_metric",
@@ -160,12 +149,12 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
         crop=(cfg.crop, cfg.crop),
         init_conv=_parse_init(cfg.init_conv, "init_conv"),
         init_fc=_parse_init(cfg.init_fc, "init_fc"),
-        dropout_p=cfg.dropout_p,
         l2_include_biases=cfg.l2_include_biases,
-        dtype=cfg.precision,
     )
+    # dropout_p is checked whether or not the arch has a Dropout layer
     return _checked(config, cfg, batch_size="batch_size", max_iterations="max_iterations",
-                    eval_every="eval_every", seed="seed")
+                    eval_every="eval_every", seed="seed", dtype="precision",
+                    dropout_p="dropout_p")
 
 
 def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network) -> None:
@@ -355,10 +344,7 @@ def main(argv=None) -> int:
     except (ConfigError, ArchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ManifestError, IngestError, CheckpointError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except MicrovocError as e:
+    except (MicrovocError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -269,9 +270,12 @@ class TrainConfig:
     dropout_p: float = 0.5
     l2_include_biases: bool = False
     dtype: str = "float64"
-    train_eval_cap: int = 512  # samples used for the train-accuracy metric
+    train_eval_cap: ClassVar[int] = 512  # samples used for the train-accuracy metric
 
     def __post_init__(self):
+        if self.dtype not in ("float64", "float32"):
+            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
+        DropoutConfig(self.dropout_p)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_iterations < 1:

@@ -290,6 +290,23 @@ class TestMeanSubtract:
         with pytest.raises(StateError):
             mean_subtract(ds)
 
+    def test_centers_in_place(self):
+        samples = [Sample(gray(100), 0, "a"), Sample(gray(200), 0, "b")]
+        arrays = [s.image.data for s in samples]
+        out = mean_subtract(Dataset(samples, ["train", "val"]))
+        assert all(o is s for o, s in zip(out.samples, samples))
+        assert all(o.image.data is a for o, a in zip(out.samples, arrays))
+        assert np.all(arrays[1] == 100.0)
+
+    def test_shared_image_array_centered_once(self):
+        # an "#orig" entry shares its source's image; so may two Tensor4s
+        shared = gray(100)
+        samples = [Sample(shared, 0, "a"), Sample(shared, 0, "a#orig"),
+                   Sample(Tensor4(shared.data), 0, "a#copy"), Sample(gray(300), 0, "b")]
+        out = mean_subtract(Dataset(samples, ["train"] * 4))
+        assert np.allclose(out.channel_means, 150.0)
+        assert [float(s.image.data[0, 0, 0, 0]) for s in out.samples] == [-50.0] * 3 + [150.0]
+
 
 class TestAugmentTrainSplit:
     def test_expansion_counts_and_labels(self):

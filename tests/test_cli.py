@@ -338,7 +338,7 @@ class TestTrainEvalPredict:
         ("batch_size", 0), ("eval_every", 0), ("max_iterations", 0), ("seed", -1),
         ("alpha", 0), ("beta1", 1.0), ("epsilon", 0), ("patience", 0), ("factor", 1),
         ("scheduler_metric", "foo"), ("l2_lambda", -1), ("dropout_p", 1.0),
-        ("dropout_p", -0.5), ("resize", 0), ("resize", -3),
+        ("dropout_p", -0.5), ("resize", 0), ("resize", -3), ("precision", "float16"),
         # non-finite values train to NaN losses
         ("l2_lambda", "nan"), ("l2_lambda", "inf"), ("alpha", "inf"), ("epsilon", "inf"),
         ("factor", "inf"), ("min_delta", "nan"), ("alpha_floor", "nan"),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,25 @@ class TestIngest:
         stats = json.loads((tmp_path / "data.manifest.stats.json").read_text())
         [failed] = stats["failed_records"]
         assert failed["path"] == "over.ppm" and "maxval 15" in failed["error"]
+
+    def test_peak_memory_is_one_copy_of_the_samples(self, tmp_path):
+        # centering a copy of every sample would peak near 2x what is kept
+        rng = np.random.default_rng(96)
+        lines = [MANIFEST_HEADER]
+        for k in range(96):
+            h, w = PIN_SOURCE_SIZES[k % len(PIN_SOURCE_SIZES)]
+            write_ppm(tmp_path / f"p{k:02d}.ppm", random_image(rng, h, w))
+            lines.append(f"p{k:02d}.ppm\tdog")
+        manifest = tmp_path / "mem.manifest"
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            ds = ingest(manifest, seed=1, resize=(64, 64))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.samples) == 96
+        assert peak <= 1.25 * kept
 
 
 #: perfbench/inputs.py's SOURCE_SIZES, the (height, width) of its images

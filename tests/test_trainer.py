@@ -186,6 +186,19 @@ class TestFreezeAndReinit:
                 assert np.all(node.params["b"].data == 0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [{"dtype": "float16"}, {"dtype": "int32"},
+                                        {"dropout_p": 1.0}, {"dropout_p": -0.1}])
+    def test_out_of_range_value_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(arch=SMALL_ARCH, **kwargs)
+
+    def test_train_eval_cap_is_not_settable(self):
+        assert TrainConfig(arch=SMALL_ARCH).train_eval_cap == 512
+        with pytest.raises(TypeError):
+            TrainConfig(arch=SMALL_ARCH, train_eval_cap=5)
+
+
 class TestTrainLoop:
     def test_end_to_end_determinism(self):
         ds = bar_dataset(30, 16, seed=1)
