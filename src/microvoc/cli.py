@@ -9,6 +9,7 @@ error, 3 numeric-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -121,15 +122,22 @@ def _parse_init(raw: str, key: str) -> InitSpec:
     raise ConfigError(f"key {key!r}: expected xavier, zero or gaussian:<std>, got {raw!r}")
 
 
+@contextlib.contextmanager
+def _under_key(key: str):
+    """Report a ValueError raised inside as a ConfigError naming ``key``."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"key {key!r}: {e}") from e
+
+
 def _checked(obj, cfg: RunConfig, **keys: str):
     """``obj`` with each named field set from the run-config key given for
     it, one field at a time, so a value the object rejects is reported
     under its key in the config file."""
     for name, key in keys.items():
-        try:
+        with _under_key(key):
             obj = replace(obj, **{name: getattr(cfg, key)})
-        except ValueError as e:
-            raise ConfigError(f"key {key!r}: {e}") from e
     return obj
 
 
@@ -160,11 +168,11 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
 def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network) -> None:
     """A resumed run trains the checkpoint's net: reject a config whose
     input size, architecture or precision describes another one."""
-    dims = (3, run_cfg.resize, run_cfg.resize)
+    dims = config.arch.input_dims
     if dims != net.spec.input_dims:
         raise ConfigError(f"resize = {run_cfg.resize} gives input dims {dims}, but the "
                           f"resumed checkpoint's are {net.spec.input_dims}")
-    arch, ckpt_arch = archdsl.render(archdsl.parse(config.arch, dims)), archdsl.render(net.spec)
+    arch, ckpt_arch = archdsl.render(config.arch), archdsl.render(net.spec)
     if arch != ckpt_arch:
         raise ConfigError(f"arch = {arch}, but the resumed checkpoint's is {ckpt_arch}")
     if np.dtype(config.dtype) != net.dtype:
@@ -179,6 +187,16 @@ def cmd_train(args) -> int:
     if not run_cfg.manifest:
         raise ConfigError("config must set 'manifest'")
     config = to_train_config(run_cfg)
+    # the net is checked before anything is read or written, and trained
+    # from this one parse
+    with _under_key("arch"):
+        spec = archdsl.parse(config.arch, (3, run_cfg.resize, run_cfg.resize))
+        if spec.shapes[-1][1:] != (1, 1):
+            raise ValueError(f"the last output {spec.shapes[-1]} is not (C, 1, 1) class scores")
+    config = replace(config, arch=spec)
+    class_names = [c.strip() for c in run_cfg.classes.split(",") if c.strip()]
+    with _under_key("classes"):
+        dataio.class_index(class_names)
     # checkpoints are written at evaluations, so any other period skips some
     if run_cfg.checkpoint_every < 0 or run_cfg.checkpoint_every % config.eval_every:
         raise ConfigError(f"checkpoint_every = {run_cfg.checkpoint_every} must be 0 or a "
@@ -194,7 +212,6 @@ def cmd_train(args) -> int:
         if ckpt.iteration > config.max_iterations:
             raise ConfigError(f"max_iterations = {config.max_iterations}, but the resumed "
                               f"checkpoint is at iteration {ckpt.iteration}")
-    class_names = [c.strip() for c in run_cfg.classes.split(",") if c.strip()]
     out_dir = Path(run_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

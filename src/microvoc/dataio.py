@@ -106,6 +106,17 @@ def read_image(path) -> np.ndarray:
     raise ValueError("unrecognized image format (want binary PPM or PNG)")
 
 
+def class_index(class_names) -> dict[str, int]:
+    """Each class name's label index, its position in ``class_names``;
+    an empty list or a repeated name raises ValueError."""
+    index = {name: i for i, name in enumerate(class_names)}
+    if not index:
+        raise ValueError("the class list is empty")
+    if len(index) != len(class_names):
+        raise ValueError(f"class names must be distinct, got {','.join(class_names)}")
+    return index
+
+
 def read_manifest(path, class_names=VOC_CLASSES) -> list[tuple[str, str, int]]:
     """Parse a manifest into (relative path, reduced label name, line
     number) records, validating labels against the class list."""
@@ -158,7 +169,7 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
     manifest_path = Path(manifest_path)
     root = os.fspath(image_root if image_root is not None else manifest_path.parent)
     class_names = list(class_names)
-    index = {name: i for i, name in enumerate(class_names)}
+    index = class_index(class_names)
 
     records = read_manifest(manifest_path, class_names)
     samples: list[Sample] = []
@@ -200,6 +211,6 @@ def load_eval_samples(manifest_path, image_root=None, *, class_names=VOC_CLASSES
     manifest_path = Path(manifest_path)
     root = os.fspath(image_root if image_root is not None else manifest_path.parent)
     class_names = list(class_names)
-    index = {name: i for i, name in enumerate(class_names)}
+    index = class_index(class_names)
     return [Sample(load_image(os.path.join(root, rel), resize, channel_means), index[label], rel)
             for rel, label, _ in read_manifest(manifest_path, class_names)]

@@ -8,17 +8,17 @@ The update uses the canonical bias-corrected efficient form:
 
 with t incremented once per step before computing alpha_t.
 
-Both ``adam_step`` and the gradient half of ``apply_l2`` walk each
-tensor's flat C-contiguous view in chunks of ``CHUNK`` elements and
-evaluate every chunk in place, with ``out=`` into a few chunk-sized
-scratch buffers, instead of building full-size float64 temporaries. Each
-chunk runs the whole-array formula's ufuncs in the same order, with the
-same operand dtypes and the same casts. Every one of those ops is
-elementwise and correctly rounded, so an element's result does not
-depend on which chunk it falls in: the parameters, moments and
-gradients are bit-identical to the whole-array evaluation. The L2
-penalty stays one whole-tensor ``np.dot``, because splitting a reduction
-would change its rounding.
+``chunks`` walks a tensor's flat C-contiguous view in pieces of ``CHUNK``
+elements, staging each through one reused buffer when another dtype is
+wanted; ``adam_step``, the gradient half of ``apply_l2`` and checkpoint
+I/O all use it, so none builds a full-size temporary. Adam and L2 run
+each piece in place, with ``out=`` into chunk-sized scratch buffers,
+using the whole-array formula's ufuncs in the same order, with the same
+operand dtypes and casts. Every one of those ops is elementwise and
+correctly rounded, so an element's result does not depend on which piece
+it falls in: parameters, moments and gradients are bit-identical to the
+whole-array evaluation. The L2 penalty stays one whole-tensor ``np.dot``,
+because splitting a reduction would change its rounding.
 """
 
 from __future__ import annotations
@@ -86,10 +86,17 @@ class AdamState:
         self.v[key] = Tensor4(np.zeros(dims, dtype=np.float64))
 
 
-def _spans(size: int):
-    """(start, stop) of each chunk of a flat view of ``size`` elements."""
-    for lo in range(0, size, CHUNK):
-        yield lo, min(lo + CHUNK, size)
+def chunks(arr: np.ndarray, dtype=np.float64):
+    """``(start, piece, buf)`` for each ``CHUNK``-element piece of ``arr``'s
+    flat view, where ``buf`` is the ``dtype`` buffer the piece moves
+    through: the piece itself when ``arr`` has ``dtype``, else one buffer
+    reused for every piece. Filling ``buf`` is the caller's job."""
+    flat = arr.reshape(-1)
+    own = flat.dtype == np.dtype(dtype)
+    buf = None if own else np.empty(min(CHUNK, flat.size), dtype=dtype)
+    for lo in range(0, flat.size, CHUNK):
+        piece = flat[lo:lo + CHUNK]
+        yield lo, piece, piece if own else buf[:piece.size]
 
 
 def _check_inplace(key: str, *arrays: np.ndarray) -> None:
@@ -130,21 +137,15 @@ def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
     alpha_t = cfg.alpha * math.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
     n = min(CHUNK, max((p.data.size for p in params.values()), default=0))
-    g64, scaled, denom = np.empty(n), np.empty(n), np.empty(n)
+    scaled, denom = np.empty(n), np.empty(n)
     for key, p in params.items():
         if key not in state.m:
             state.add_zero_moments(key, p.dims)
-        w, g, m, v = (a.reshape(-1) for a in (p.data, grads[key].data,
-                                              state.m[key].data, state.v[key].data))
-        # the update is cast to the parameter dtype before the subtraction
-        cast = scaled if w.dtype == scaled.dtype else np.empty(n, dtype=w.dtype)
-        for lo, hi in _spans(w.size):
-            k = hi - lo
-            gd = g[lo:hi]
-            if gd.dtype != np.float64:
-                gd = g64[:k]
-                np.copyto(gd, g[lo:hi])
-            mc, vc, u, d = m[lo:hi], v[lo:hi], scaled[:k], denom[:k]
+        w, m, v = (a.reshape(-1) for a in (p.data, state.m[key].data, state.v[key].data))
+        for lo, g, gd in chunks(grads[key].data):
+            np.copyto(gd, g)  # returns at once when gd is g
+            hi = lo + gd.size
+            mc, vc, u, d = m[lo:hi], v[lo:hi], scaled[:gd.size], denom[:gd.size]
             mc *= b1
             np.multiply(1.0 - b1, gd, out=u)
             mc += u
@@ -156,9 +157,8 @@ def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
             np.sqrt(vc, out=d)
             np.add(d, eps, out=d)
             np.divide(u, d, out=u)
-            if cast is not scaled:
-                np.copyto(cast[:k], u, casting="same_kind")
-            w[lo:hi] -= cast[:k]
+            # the update is cast to the parameter dtype before the subtraction
+            w[lo:hi] -= u.astype(w.dtype, copy=False)
 
 
 def apply_l2(params: dict[str, Tensor4], grads: dict[str, Tensor4], lam: float,
@@ -186,17 +186,14 @@ def apply_l2(params: dict[str, Tensor4], grads: dict[str, Tensor4], lam: float,
         if g.shape != w.shape:
             raise ShapeError(f"grad dims {g.shape} != param dims {w.shape} for {key!r}")
         _check_inplace(key, g)
-        g, w = g.reshape(-1), w.reshape(-1)
-        n = min(CHUNK, w.size)
-        # the dtype and the cast of the whole-array (2*lam*w).astype(g.dtype)
-        term = np.empty(n, dtype=np.result_type(coef, w))
-        cast = term if term.dtype == g.dtype else np.empty(n, dtype=g.dtype)
-        for lo, hi in _spans(w.size):
-            k = hi - lo
-            np.multiply(coef, w[lo:hi], out=term[:k])
-            if cast is not term:
-                np.copyto(cast[:k], term[:k], casting="same_kind")
-            g[lo:hi] += cast[:k]
+        w = w.reshape(-1)
+        # 2*lam*w has w's dtype, and so has g in every caller: the piece's
+        # sum is the whole-array g += 2*lam*w without a cast
+        term = np.empty(min(CHUNK, w.size), dtype=w.dtype)
+        for lo, gc, _ in chunks(g, g.dtype):
+            t = term[:gc.size]
+            np.multiply(coef, w[lo:lo + gc.size], out=t)
+            gc += t
     return penalty
 
 
@@ -216,6 +213,8 @@ class SchedulerConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not self.factor > 1:
             raise ValueError(f"factor must be > 1, got {self.factor}")
+        if not self.floor > 0:  # drops would take alpha to 0, which Adam rejects
+            raise ValueError(f"floor must be > 0, got {self.floor}")
 
 
 class PlateauScheduler:

@@ -41,8 +41,8 @@ from .layers import (
     relu_forward,
     softmax_cross_entropy,
 )
-from .optim import (CHUNK, AdamConfig, AdamState, PlateauScheduler, SchedulerConfig, adam_step,
-                    apply_l2)
+from .optim import (AdamConfig, AdamState, PlateauScheduler, SchedulerConfig, adam_step,
+                    apply_l2, chunks)
 from .tensor import Tensor4
 
 # seed-stream tags: keep init, shuffling and dropout streams independent
@@ -452,21 +452,10 @@ def _write_str(fh, s: str) -> None:
     fh.write(struct.pack("<I", len(raw)) + raw)
 
 
-def _chunks(arr: np.ndarray):
-    """Each ``CHUNK``-element piece of ``arr``'s flat view, with the "<f8" buffer it
-    moves through: the piece itself when ``arr`` is "<f8", else one reused buffer."""
-    flat = arr.reshape(-1)
-    own = flat.dtype == np.dtype("<f8")
-    buf = None if own else np.empty(min(CHUNK, flat.size), dtype="<f8")
-    for lo in range(0, flat.size, CHUNK):
-        part = flat[lo:lo + CHUNK]
-        yield part, part if own else buf[:part.size]
-
-
 def _write_tensor(fh, t: Tensor4) -> None:
     fh.write(struct.pack("<4I", *t.dims))
-    for part, buf in _chunks(t.data):
-        np.copyto(buf, part)  # returns at once when buf is part
+    for _, piece, buf in chunks(t.data, "<f8"):
+        np.copyto(buf, piece)  # returns at once when buf is piece
         fh.write(buf.data)
 
 
@@ -502,11 +491,11 @@ class _Reader:
         dims = self.unpack("<4I")
         if dims != arr.shape:
             raise CheckpointError(f"checkpoint tensor {what} dims {dims} != arch's {arr.shape}")
-        for part, buf in _chunks(arr):
+        for _, piece, buf in chunks(arr, "<f8"):
             if buf.nbytes > self.left or self.fh.readinto(buf) != buf.nbytes:
                 raise CheckpointError("checkpoint truncated")
             self.left -= buf.nbytes
-            part[...] = buf  # returns at once when buf is part
+            piece[...] = buf  # returns at once when buf is piece
 
 
 @contextlib.contextmanager

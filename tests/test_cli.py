@@ -339,6 +339,10 @@ class TestTrainEvalPredict:
         ("alpha", 0), ("beta1", 1.0), ("epsilon", 0), ("patience", 0), ("factor", 1),
         ("scheduler_metric", "foo"), ("l2_lambda", -1), ("dropout_p", 1.0),
         ("dropout_p", -0.5), ("resize", 0), ("resize", -3), ("precision", "float16"),
+        # a floor of 0 or below lets plateau drops take alpha to 0
+        ("alpha_floor", 0), ("alpha_floor", -1),
+        # a repeated name gives both copies the last copy's label
+        ("classes", "cat,dog,cat"),
         # non-finite values train to NaN losses
         ("l2_lambda", "nan"), ("l2_lambda", "inf"), ("alpha", "inf"), ("epsilon", "inf"),
         ("factor", "inf"), ("min_delta", "nan"), ("alpha_floor", "nan"),
@@ -353,6 +357,18 @@ class TestTrainEvalPredict:
                            **{key: value})
         assert main(["train", "--config", str(cfg)]) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("arch", [
+        "IMG-Conv4[k=2,s=3,p=0]-FC2-Softmax",  # the conv geometry does not divide
+        "IMG-Conv4-Softmax",                    # Softmax on a (4, 12, 12) map
+        "IMG-Conv4-ReLU",                       # no (C, 1, 1) class scores
+    ])
+    def test_bad_arch_is_usage_error_before_ingest(self, tmp_path, dataset_dir, capsys, arch):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run", arch=arch)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "arch" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_crop_is_ignored_without_augment(self, tmp_path, dataset_dir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from microvoc.optim import (
     SchedulerConfig,
     adam_step,
     apply_l2,
+    chunks,
 )
 from microvoc.tensor import Tensor4
 
@@ -252,6 +254,44 @@ def test_chunked_updates_match_whole_array(sizes, dtype, lazy_state, seed):
             assert state.v[k].data.tobytes() == ref_moments[k][1].tobytes()
 
 
+@pytest.mark.parametrize("size", CHUNK_EDGE_SIZES)
+@pytest.mark.parametrize("src", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunks_tile_the_flat_view(size, src, dtype):
+    arr = np.arange(size, dtype=src).reshape(1, 1, 1, size)
+    walked = list(chunks(arr, dtype))
+    assert [lo for lo, _, _ in walked] == list(range(0, size, CHUNK))
+    assert np.array_equal(np.concatenate([piece for _, piece, _ in walked]), arr.ravel())
+    for lo, piece, buf in walked:
+        assert np.shares_memory(piece, arr) and piece[0] == lo
+        assert buf.dtype == dtype and buf.size == piece.size
+        if src == dtype:
+            assert buf is piece
+        else:
+            assert buf.base is walked[0][2].base and buf.base.size <= CHUNK
+
+
+def test_l2_and_adam_need_only_a_few_chunks():
+    """No full-size temporaries: on float32 params spanning 16 chunks the
+    scratch buffers, not the tensors, set the peak."""
+    rng = np.random.default_rng(5)
+    params = {"0.w": Tensor4(rng.standard_normal((16 * CHUNK, 1, 1, 1)).astype(np.float32)),
+              "0.b": Tensor4(rng.standard_normal((1, 40, 1, 1)).astype(np.float32))}
+    grads = {k: Tensor4(rng.standard_normal(p.dims).astype(np.float32))
+             for k, p in params.items()}
+    state = AdamState.for_params(params)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        apply_l2(params, grads, 5e-4)
+        adam_step(params, grads, state, AdamConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a float64 copy of the weights or their gradient alone is 16 chunk buffers
+    assert peak - start <= 5 * 8 * CHUNK
+
+
 class TestApplyL2:
     def test_lambda_zero_noop(self):
         params = {"w": scalar(3.0)}
@@ -367,3 +407,5 @@ class TestPlateauScheduler:
             SchedulerConfig(patience=0)
         with pytest.raises(ValueError):
             SchedulerConfig(factor=1.0)
+        with pytest.raises(ValueError):
+            SchedulerConfig(floor=0.0)
