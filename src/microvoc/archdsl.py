@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArchError, ShapeError
-from .layers import KINDS, Realized, realize
+from .layers import DEFAULT_DROPOUT_P, KINDS, Realized, realize
 
 _KIND_OF_TOKEN = {row.token: kind for kind, row in KINDS.items()}
 
@@ -61,9 +61,7 @@ class LayerSpec:
 class NetworkSpec:
     input_dims: tuple[int, int, int]  # (channels, height, width)
     layers: list[LayerSpec]
-    # per layer: config, output dims, parameter shapes; a Dropout without a
-    # p option has the default here, and trainer.set_dropout changes a net's
-    realized: list[Realized]
+    realized: list[Realized]  # per layer: config, output dims, parameter shapes
 
     @property
     def shapes(self) -> list[tuple[int, int, int]]:
@@ -76,14 +74,9 @@ class NetworkSpec:
 
     @property
     def num_classes(self) -> int | None:
-        """Output width of the final FC layer, when the net ends in one
-        (possibly followed by Softmax)."""
-        for ls in reversed(self.layers):
-            if ls.kind == "fc":
-                return ls.count
-            if ls.kind != "softmax":
-                break
-        return None
+        """C when the last output is (C, 1, 1) class scores, else None."""
+        c, h, w = self.shapes[-1]
+        return c if (h, w) == (1, 1) else None
 
 
 _NAME_RE = re.compile(r"[A-Za-z]+")
@@ -229,6 +222,18 @@ def parse(text: str, input_dims: tuple[int, int, int] = (3, 128, 128)) -> Networ
     """Parse and shape-check an architecture string."""
     layers = parse_layers(text)
     return NetworkSpec(tuple(input_dims), layers, infer_shapes(layers, input_dims))
+
+
+def with_dropout(spec: NetworkSpec, p: float) -> NetworkSpec:
+    """``spec`` with drop probability ``p`` in the options of each Dropout
+    that sets none, so that ``render`` carries it."""
+    # at the default p the spec stays as it is: the canonical string, and
+    # with it the checkpoint bytes of every default-p net, do not change
+    if p == DEFAULT_DROPOUT_P:
+        return spec
+    layers = [LayerSpec(ls.kind, ls.count, {"p": p, **ls.opts}) if ls.kind == "dropout" else ls
+              for ls in spec.layers]
+    return NetworkSpec(spec.input_dims, layers, infer_shapes(layers, spec.input_dims))
 
 
 def render(spec: NetworkSpec) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import archdsl, dataio, gradcheck, trainer
-from .errors import ArchError, ConfigError, MicrovocError
+from .errors import ArchError, CheckpointError, ConfigError, MicrovocError
 from .initializers import InitSpec
 from .layers import Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
@@ -76,6 +77,10 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
 
 
+#: a '#' that starts a value or follows a blank begins a comment
+_COMMENT = re.compile(r"(?<!\S)#.*")
+
+
 def parse_run_config(path) -> RunConfig:
     cfg = RunConfig()
     known = {f.name: f for f in fields(RunConfig)}
@@ -90,7 +95,7 @@ def parse_run_config(path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
+        key, raw = key.strip(), _COMMENT.sub("", raw).strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         ftype = known[key].type
@@ -174,7 +179,8 @@ def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network)
                           f"resumed checkpoint's are {net.spec.input_dims}")
     arch, ckpt_arch = archdsl.render(config.arch), archdsl.render(net.spec)
     if arch != ckpt_arch:
-        raise ConfigError(f"arch = {arch}, but the resumed checkpoint's is {ckpt_arch}")
+        raise ConfigError(f"arch = {arch}, with dropout_p = {config.dropout_p}, but the "
+                          f"resumed checkpoint's is {ckpt_arch}")
     if np.dtype(config.dtype) != net.dtype:
         raise ConfigError(f"precision = {config.dtype}, but the resumed checkpoint's is "
                           f"{net.dtype}")
@@ -191,12 +197,15 @@ def cmd_train(args) -> int:
     # from this one parse
     with _under_key("arch"):
         spec = archdsl.parse(config.arch, (3, run_cfg.resize, run_cfg.resize))
-        if spec.shapes[-1][1:] != (1, 1):
+        if spec.num_classes is None:
             raise ValueError(f"the last output {spec.shapes[-1]} is not (C, 1, 1) class scores")
-    config = replace(config, arch=spec)
+    config = replace(config, arch=archdsl.with_dropout(spec, config.dropout_p))
     class_names = [c.strip() for c in run_cfg.classes.split(",") if c.strip()]
     with _under_key("classes"):
         dataio.class_index(class_names)
+    if len(class_names) > spec.num_classes:
+        raise ConfigError(f"classes has {len(class_names)} names, but arch = {run_cfg.arch} "
+                          f"scores only {spec.num_classes} classes")
     # checkpoints are written at evaluations, so any other period skips some
     if run_cfg.checkpoint_every < 0 or run_cfg.checkpoint_every % config.eval_every:
         raise ConfigError(f"checkpoint_every = {run_cfg.checkpoint_every} must be 0 or a "
@@ -232,8 +241,7 @@ def cmd_train(args) -> int:
     start_iteration = 0
     alpha = config.adam.alpha
     if ckpt is not None:
-        # a checkpoint keeps no dropout_p: the resumed run uses its own
-        net = trainer.set_dropout(ckpt.net, config.dropout_p)
+        net = ckpt.net
         start_iteration, alpha = ckpt.iteration, ckpt.alpha
         if ckpt.adam_state is not None:
             adam_state = ckpt.adam_state
@@ -265,9 +273,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _class_names(ckpt: trainer.Checkpoint) -> list[str]:
+    """The checkpoint's class names, or the 20 VOC names when it stores
+    none; a net without class scores, or with fewer than the names, is
+    an error."""
+    names = ckpt.class_names or list(dataio.VOC_CLASSES)
+    ncls = ckpt.net.spec.num_classes
+    if ncls is None:
+        raise CheckpointError(f"the checkpoint's last output {ckpt.net.spec.shapes[-1]} is "
+                              f"not (C, 1, 1) class scores")
+    if len(names) > ncls:
+        stored = "" if ckpt.class_names else " (the default list: the checkpoint stores none)"
+        raise CheckpointError(f"{len(names)} class names{stored} for a net with "
+                              f"{ncls} class scores")
+    return names
+
+
 def cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
-    class_names = ckpt.class_names or list(dataio.VOC_CLASSES)
+    class_names = _class_names(ckpt)
     c, h, w = ckpt.net.spec.input_dims
     samples = dataio.load_eval_samples(
         args.manifest, args.data_root, class_names=class_names,
@@ -279,7 +303,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
-    class_names = ckpt.class_names or list(dataio.VOC_CLASSES)
+    class_names = _class_names(ckpt)
     c, h, w = ckpt.net.spec.input_dims
     img = dataio.load_image(args.image, (h, w), ckpt.channel_means)
     logits = ckpt.net.forward(img, Mode.TEST).data.reshape(-1)

@@ -207,10 +207,18 @@ def load_eval_samples(manifest_path, image_root=None, *, class_names=VOC_CLASSES
                       resize: tuple[int, int] = (128, 128),
                       channel_means=None) -> list[Sample]:
     """Load every record of a held-out manifest without splitting,
-    centered with the supplied channel means (from a checkpoint)."""
+    centered with the supplied channel means (from a checkpoint). The
+    first record that fails to load raises IngestError naming its line
+    and path."""
     manifest_path = Path(manifest_path)
     root = os.fspath(image_root if image_root is not None else manifest_path.parent)
     class_names = list(class_names)
     index = class_index(class_names)
-    return [Sample(load_image(os.path.join(root, rel), resize, channel_means), index[label], rel)
-            for rel, label, _ in read_manifest(manifest_path, class_names)]
+    samples = []
+    for rel, label, lineno in read_manifest(manifest_path, class_names):
+        try:
+            image = load_image(os.path.join(root, rel), resize, channel_means)
+        except (OSError, ValueError) as e:
+            raise IngestError(f"line {lineno} ({rel}): {e}") from e
+        samples.append(Sample(image, index[label], rel))
+    return samples

@@ -50,7 +50,8 @@ class ManifestError(MicrovocError, ValueError):
 
 
 class IngestError(MicrovocError, RuntimeError):
-    """Too many records in a manifest failed to load."""
+    """Records of a manifest failed to load: too many for ingest, or any
+    one for a held-out evaluation."""
 
 
 class ConfigError(MicrovocError, ValueError):

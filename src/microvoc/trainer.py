@@ -115,7 +115,6 @@ class Network:
         self.nodes = nodes
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.mode = Mode.TEST
         self.rng = np.random.default_rng([seed, _STREAM_FREE])
         self._grad_input: Tensor4 | None = None  # set by backward(input_grad=True)
 
@@ -135,7 +134,6 @@ class Network:
         n, c, h, w = batch.dims
         if (c, h, w) != self.spec.input_dims:
             raise ShapeError(f"batch dims {(c, h, w)} != network input {self.spec.input_dims}")
-        self.mode = mode
         if rng is None:
             rng = self.rng
         x = batch if batch.dtype == self.dtype else batch.astype(self.dtype)
@@ -150,8 +148,6 @@ class Network:
         The gradient with respect to the network's input is kept in
         ``_grad_input`` only when ``input_grad`` is set; otherwise the
         first layer may skip computing it and ``_grad_input`` is None."""
-        if self.mode is not Mode.TRAIN:
-            raise StateError("backward requires a cached train-mode forward")
         grads: dict[str, Tensor4] = {}
         g = grad_logits
         for i in range(len(self.nodes) - 1, -1, -1):
@@ -162,7 +158,6 @@ class Network:
             for name, gt in node_grads.items():
                 grads[f"{i}.{name}"] = gt
             node.cache = None
-        self.mode = Mode.TEST
         self._grad_input = g if input_grad else None
         return grads
 
@@ -176,30 +171,20 @@ def build(spec: NetworkSpec | str, *, seed: int = 0,
     """Instantiate a network from a spec (or architecture string).
 
     Conv/FC weights follow the per-kind InitSpec; biases are zeros.
-    ``dropout_p``, when given, is passed to ``set_dropout``. Deterministic
-    under ``seed``.
+    ``dropout_p``, when given, goes to ``archdsl.with_dropout``, before
+    the layers are made. Deterministic under ``seed``.
     """
     if isinstance(spec, str):
         spec = archdsl.parse(archdsl.resolve_arch(spec),
                              input_dims or (3, 128, 128))
+    if dropout_p is not None:
+        spec = archdsl.with_dropout(spec, dropout_p)
     rng = np.random.default_rng([seed, _STREAM_INIT])
     init = {"conv": init_conv, "fc": init_fc}
     nodes = [LayerNode(spec=ls, cfg=layer.cfg,
                        params=_init_params(layer.param_shapes, init.get(ls.kind), rng, dtype))
              for ls, layer in zip(spec.layers, spec.realized)]
-    net = Network(spec, nodes, seed, dtype)
-    if dropout_p is not None:
-        set_dropout(net, dropout_p)
-    return net
-
-
-def set_dropout(net: Network, p: float) -> Network:
-    """Give drop probability ``p`` to the Dropout layers whose
-    architecture string sets no ``p`` option of their own."""
-    for node in net.nodes:
-        if node.spec.kind == "dropout" and "p" not in node.spec.opts:
-            node.cfg = DropoutConfig(p)
-    return net
+    return Network(spec, nodes, seed, dtype)
 
 
 def _init_params(shapes: dict, init: InitSpec, rng: np.random.Generator,

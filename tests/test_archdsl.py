@@ -167,6 +167,10 @@ class TestInferShapes:
     def test_num_classes(self):
         assert parse(PRESETS["M1"]).num_classes == 20
         assert parse("IMG-FC7", input_dims=(3, 4, 4)).num_classes == 7
+        # read from the last output's dims, whatever kind of layer gives them
+        assert parse("IMG-Conv4[k=4,p=0]", input_dims=(3, 4, 4)).num_classes == 4
+        assert parse("IMG-FC7-Dropout", input_dims=(3, 4, 4)).num_classes == 7
+        assert parse("IMG-Conv64").num_classes is None
 
 
 class TestParamOrdering:

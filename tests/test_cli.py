@@ -1,5 +1,7 @@
 import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,8 +105,10 @@ class TestRunConfig:
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("# a comment\n\nseed = 9\n")
-        assert parse_run_config(p).seed == 9
+        p.write_text("# a comment\n\nseed = 9   # the run seed\nresume =   # none\n"
+                     "classes = a#b,c\n")
+        cfg = parse_run_config(p)
+        assert (cfg.seed, cfg.resume, cfg.classes) == (9, "", "a#b,c")
 
     def test_bool_values(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -134,6 +138,19 @@ class TestRunConfig:
     def test_bad_init_spec_rejected(self):
         with pytest.raises(ConfigError):
             to_train_config(RunConfig(arch="M1", init_conv="normal"))
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Config file.*?```ini\n(.*?)```", readme, re.S).group(1)
+        keys = [line.partition("=")[0].strip() for line in block.splitlines()
+                if line.strip() and not line.strip().startswith("#")]
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        cfg, default = parse_run_config(p), RunConfig()
+        for key in keys:
+            if key not in ("arch", "manifest", "classes"):  # example values
+                assert getattr(cfg, key) == getattr(default, key), key
 
 
 class TestInspect:
@@ -275,6 +292,32 @@ class TestTrainEvalPredict:
         rest_rows = (tmp_path / "rest" / "history.csv").read_text().splitlines()
         assert rest_rows[1] == full_rows[2]
 
+    def test_train_writes_its_dropout_p_into_the_checkpoint(self, tmp_path, dataset_dir,
+                                                          capsys):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           arch="IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-Dropout-FC2)-Softmax",
+                           max_iterations=2, eval_every=1, dropout_p=0.3)
+        assert main(["train", "--config", str(cfg)]) == 0
+        net = load_checkpoint(tmp_path / "run" / "model.ckpt").net
+        assert [n.cfg.p for n in net.nodes if n.spec.kind == "dropout"] == [0.3]
+
+    def test_resume_with_another_dropout_p_is_usage_error(self, tmp_path, dataset_dir, capsys):
+        _, manifest = dataset_dir
+        arch = "IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-Dropout-FC2)-Softmax"
+        half_cfg = write_config(tmp_path / "half.cfg", manifest, tmp_path / "half", arch=arch,
+                                max_iterations=10, eval_every=10, checkpoint_every=10,
+                                dropout_p=0.3)
+        assert main(["train", "--config", str(half_cfg)]) == 0
+        capsys.readouterr()
+        resumed_cfg = write_config(
+            tmp_path / "rest.cfg", manifest, tmp_path / "rest", arch=arch, max_iterations=20,
+            eval_every=10, dropout_p=0.2, resume=str(tmp_path / "half" / "checkpoint_10.ckpt"))
+        assert main(["train", "--config", str(resumed_cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "dropout_p" in err and "Dropout[p=0.2]" in err and "Dropout[p=0.3]" in err
+        assert not (tmp_path / "rest").exists()
+
     @pytest.mark.parametrize("overrides, named", [
         ({"arch": "IMG-(Conv16-ReLU-MaxPool)-(FC64-ReLU-FC2)-Softmax", "precision": "float32"},
          ["arch = IMG-Conv16-ReLU-MaxPool-FC64-ReLU-FC2-Softmax",
@@ -343,6 +386,8 @@ class TestTrainEvalPredict:
         ("alpha_floor", 0), ("alpha_floor", -1),
         # a repeated name gives both copies the last copy's label
         ("classes", "cat,dog,cat"),
+        # more names than the arch's FC2 scores
+        ("classes", "cat,dog,bird"),
         # non-finite values train to NaN losses
         ("l2_lambda", "nan"), ("l2_lambda", "inf"), ("alpha", "inf"), ("epsilon", "inf"),
         ("factor", "inf"), ("min_delta", "nan"), ("alpha_floor", "nan"),
@@ -398,6 +443,37 @@ class TestTrainEvalPredict:
         assert main(["predict", "--checkpoint", str(path),
                      "--image", str(tmp_path / "x.ppm")]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("arch, names, said", [
+        # saved without class names: eval and predict fall back to the 20
+        # VOC names, which hold cat and dog, for a net that scores 2 classes
+        (TINY_ARCH, None, ["20 class names", "2 class scores"]),
+        ("IMG-Conv4-ReLU", ["cat", "dog"], ["(4, 12, 12)", "not (C, 1, 1) class scores"]),
+    ])
+    def test_class_names_that_do_not_fit_the_net_are_a_data_error(
+            self, tmp_path, dataset_dir, capsys, command, arch, names, said):
+        root, manifest = dataset_dir
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, build(archdsl.parse(arch, (3, 12, 12))), class_names=names)
+        data = (["--manifest", str(manifest)] if command == "eval"
+                else ["--image", str(root / "img0.ppm")])
+        assert main([command, "--checkpoint", str(path), *data]) == 2
+        err = capsys.readouterr().err
+        assert all(text in err for text in said)
+
+    def test_eval_names_the_record_that_failed_to_load(self, tmp_path, dataset_dir, capsys):
+        root, manifest = dataset_dir
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, build(archdsl.parse(TINY_ARCH, (3, 12, 12))),
+                        class_names=["cat", "dog"])
+        good = (root / "img0.ppm").read_bytes()
+        (root / "cut.ppm").write_bytes(good[:-10])
+        held_out = tmp_path / "held_out.manifest"
+        held_out.write_text(f"{MANIFEST_HEADER}\nimg0.ppm\tdog\ncut.ppm\tcat\n")
+        assert main(["eval", "--checkpoint", str(path), "--manifest", str(held_out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3 (cut.ppm)" in err and "truncated" in err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

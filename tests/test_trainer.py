@@ -328,6 +328,27 @@ class TestCheckpoint:
         save_checkpoint(p2, ck.net, iteration=ck.iteration, alpha=ck.alpha)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("dropout_p", [0.2, 0.5])
+    def test_dropout_p_survives_save_and_load(self, tmp_path, dropout_p):
+        arch = "IMG-FC8-Dropout-FC6-Dropout[p=0.7]-Dropout-FC3"
+        net = build(archdsl.parse(arch, (3, 4, 4)), seed=16, dropout_p=dropout_p)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net)
+        ck = load_checkpoint(path)
+        assert [n.cfg.p for n in ck.net.nodes if n.spec.kind == "dropout"] == \
+            [dropout_p, 0.7, dropout_p]
+        x = random_batch(3, (3, 4, 4))
+        assert net.forward(x).data.tobytes() == ck.net.forward(x).data.tobytes()
+        if dropout_p == 0.5:
+            # the default p is not written out: the stored arch string is
+            # the canonical one, and so are the checkpoint's bytes
+            data = path.read_bytes()
+            (n,) = struct.unpack_from("<I", data, 12)
+            assert data[16:16 + n].decode() == archdsl.render(archdsl.parse(arch, (3, 4, 4)))
+            save_checkpoint(tmp_path / "plain.ckpt", build(archdsl.parse(arch, (3, 4, 4)),
+                                                           seed=16))
+            assert (tmp_path / "plain.ckpt").read_bytes() == data
+
     def test_evaluation_preserved_across_round_trip(self, tmp_path):
         net = small_net(seed=15)
         samples = [Sample(Tensor4(np.random.default_rng(i).standard_normal((1, 3, 16, 16))),
