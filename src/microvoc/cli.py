@@ -88,6 +88,7 @@ def parse_run_config(path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -98,6 +99,9 @@ def parse_run_config(path) -> RunConfig:
         key, raw = key.strip(), _COMMENT.sub("", raw).strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         ftype = known[key].type
         try:
             if ftype == "bool":
@@ -170,9 +174,12 @@ def to_train_config(cfg: RunConfig) -> TrainConfig:
                     dropout_p="dropout_p")
 
 
-def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network) -> None:
-    """A resumed run trains the checkpoint's net: reject a config whose
-    input size, architecture or precision describes another one."""
+def _check_resume(run_cfg: RunConfig, config: TrainConfig, class_names: list[str],
+                  ckpt: trainer.Checkpoint) -> None:
+    """A resumed run trains the checkpoint's net on its split and labels,
+    from its iteration on: reject a config that describes another net
+    (input size, arch, precision), split (seed), labels (classes) or end."""
+    net = ckpt.net
     dims = config.arch.input_dims
     if dims != net.spec.input_dims:
         raise ConfigError(f"resize = {run_cfg.resize} gives input dims {dims}, but the "
@@ -184,6 +191,16 @@ def _check_resume(run_cfg: RunConfig, config: TrainConfig, net: trainer.Network)
     if np.dtype(config.dtype) != net.dtype:
         raise ConfigError(f"precision = {config.dtype}, but the resumed checkpoint's is "
                           f"{net.dtype}")
+    # the seed draws the train/val split, and the class list gives the labels
+    if config.seed != net.seed:
+        raise ConfigError(f"seed = {config.seed} draws another split than the resumed "
+                          f"checkpoint's seed {net.seed}")
+    if ckpt.class_names and class_names != ckpt.class_names:
+        raise ConfigError(f"classes = {run_cfg.classes} labels the data otherwise than the "
+                          f"resumed checkpoint's {','.join(ckpt.class_names)}")
+    if ckpt.iteration > config.max_iterations:
+        raise ConfigError(f"max_iterations = {config.max_iterations}, but the resumed "
+                          f"checkpoint is at iteration {ckpt.iteration}")
 
 
 def cmd_train(args) -> int:
@@ -217,10 +234,7 @@ def cmd_train(args) -> int:
                           f"resize = {run_cfg.resize} when augment is on")
     ckpt = trainer.load_checkpoint(run_cfg.resume) if run_cfg.resume else None
     if ckpt is not None:
-        _check_resume(run_cfg, config, ckpt.net)
-        if ckpt.iteration > config.max_iterations:
-            raise ConfigError(f"max_iterations = {config.max_iterations}, but the resumed "
-                              f"checkpoint is at iteration {ckpt.iteration}")
+        _check_resume(run_cfg, config, class_names, ckpt)
     out_dir = Path(run_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

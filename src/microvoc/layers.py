@@ -2,11 +2,12 @@
 
 Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
-upstream gradient into input/parameter gradients. ReLU, LRN and dropout
-take the ``Mode``: in test mode they cache nothing (``None``), as only
-backward reads a cache. Conv's forward builds nothing that only backward
-reads (its cache refers to the input), so it works the same in both
-modes and the trainer drops its cache in test mode. Every kernel takes
+upstream gradient into the input gradient, plus for conv and FC a dict of
+parameter gradients keyed by the names ``realize`` gives. ReLU, LRN and
+dropout take the ``Mode``: in test mode they cache nothing (``None``),
+as only backward reads a cache. Conv's forward builds nothing that only
+backward reads (its cache refers to the input), so it works the same in
+both modes and the trainer drops its cache in test mode. Every kernel takes
 and returns NCHW tensors. Inside, conv works on the zero-padded input
 laid out as an NHWC row grid, one row of C channels per position, where
 each kernel tap is one GEMM on a contiguous row slice. Its forward and
@@ -15,10 +16,11 @@ blocks of whole images of about CONV_BLOCK_ROWS grid rows, on one reused
 block-sized grid, accumulator and tap term, so a block's working set
 stays in cache; only the weight gradient pads the whole batch, once.
 Max pooling takes a running maximum over the k*k strided views of its
-input; LRN runs one image at a time on reused (c, h, w) buffers.
-``KINDS`` holds one row per kind: its token and options in architecture
-strings, and its ``realize``, which gives its validated config, output
-dims and parameter shapes for a given input.
+input and keeps its output, against which backward routes; LRN runs one
+image at a time on reused (c, h, w) buffers. ``KINDS`` holds one row
+per kind: its token and options in architecture strings, and its
+``realize``, which gives its validated config, output dims and parameter
+shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -288,9 +290,9 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
     return Tensor4(out), ConvCache(x.data, x.dims, wd, cfg)
 
 
-def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None, Tensor4, Tensor4]:
-    """Return (grad_input, grad_weights, grad_bias); grad_input is None
-    when ``cache.input_grad`` is False.
+def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None, dict]:
+    """Return (grad_input, {"w": grad_weights, "b": grad_bias});
+    grad_input is None when ``cache.input_grad`` is False.
 
     grad_w[:, :, u, v] is one (f x K)(K x c) GEMM over the K output
     positions of the whole batch, its patch copied from the zero-padded
@@ -323,13 +325,14 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None
             patch[...] = grid[:, u:u + s * ho:s, v:v + s * wo:s]
             grad_w[:, :, u, v] = go_fk @ patch.reshape(n * ho * wo, c)
     del go_fk, grid, patch
+    grads = {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}
     if not input_grad:
-        return None, Tensor4(grad_w), Tensor4(grad_b)
+        return None, grads
 
     gx = np.empty((n, c, h, w), dtype=x.dtype)
     _tap_sums(go, (0, s), wd.transpose(2, 3, 0, 1).reshape(kh * kw, f, c),
               [-t for t in _tap_offsets(kh, kw, wp)], (hp, wp), (p, 1), gx)
-    return Tensor4(gx), Tensor4(grad_w), Tensor4(grad_b)
+    return Tensor4(gx), grads
 
 
 # ---------------------------------------------------------------------------
@@ -372,32 +375,23 @@ def _window_max(windows: list[np.ndarray]) -> np.ndarray:
 
 class PoolCache(NamedTuple):
     x: np.ndarray  # the forward input
+    out: np.ndarray  # the forward output, not a copy
     k: int
     stride: int
-
-    @property
-    def x_dims(self) -> tuple:
-        return self.x.shape
-
-    @property
-    def out_dims(self) -> tuple:
-        return _pool_windows(self.x, self.k, self.stride)[0].shape
 
     @property
     def argmax(self) -> np.ndarray:
         """Flat input offset of each window's first (row-major) maximizer,
         shape (n,c,ho,wo); a NaN counts as the maximum, as in np.argmax.
-        Computed from the input on each access: only backward needs it."""
+        Routed against ``out`` on each access: only backward needs it."""
         n, c, h, w = self.x.shape
-        k, s = self.k, self.stride
-        windows = _pool_windows(self.x, k, s)
-        out = _window_max(windows)
+        k, s, out = self.k, self.stride, self.out
         ho, wo = out.shape[2:]
         # offset of each window's element (0, 0), then moved to its maximizer
         offsets = (np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
                    + np.arange(0, s * ho * w, s * w).reshape(ho, 1) + np.arange(0, s * wo, s))
         unrouted = np.ones(out.shape, dtype=bool)
-        for t, view in enumerate(windows):
+        for t, view in enumerate(_pool_windows(self.x, k, s)):
             hit = view == out
             hit |= np.isnan(view)
             hit &= unrouted
@@ -410,19 +404,20 @@ class PoolCache(NamedTuple):
 def maxpool_forward(x: Tensor4, k: int = DEFAULT_POOL_KERNEL,
                     stride: int = DEFAULT_POOL_STRIDE) -> tuple[Tensor4, PoolCache]:
     """Max over k*k windows, as a running np.maximum over the k*k strided
-    views (a NaN in a window gives a NaN). The cache keeps the input, from
-    which backward routes each gradient to the window's first maximizer."""
-    return Tensor4(_window_max(_pool_windows(x.data, k, stride))), PoolCache(x.data, k, stride)
+    views (a NaN in a window gives a NaN). The cache keeps the input and the
+    output, against which backward routes a gradient to the first maximizer."""
+    out = _window_max(_pool_windows(x.data, k, stride))
+    return Tensor4(out), PoolCache(x.data, out, k, stride)
 
 
 def maxpool_backward(cache: PoolCache, grad_out: Tensor4) -> Tensor4:
     if cache is None:
         raise StateError("maxpool backward called without cached forward state")
-    if grad_out.dims != cache.out_dims:
-        raise ShapeError(f"grad_out dims {grad_out.dims} != forward output dims {cache.out_dims}")
+    if grad_out.dims != cache.out.shape:
+        raise ShapeError(f"grad_out dims {grad_out.dims} != forward output dims {cache.out.shape}")
     gx = np.zeros(cache.x.size, dtype=grad_out.data.dtype)
     np.add.at(gx, cache.argmax.ravel(), grad_out.data.ravel())
-    return Tensor4(gx.reshape(cache.x_dims))
+    return Tensor4(gx.reshape(cache.x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +542,8 @@ def fc_forward(x: Tensor4, weights: Tensor4, bias: Tensor4) -> tuple[Tensor4, Fc
     return Tensor4(out.reshape(n, out_size, 1, 1)), FcCache(x_flat, x.dims, wd)
 
 
-def fc_backward(cache: FcCache, grad_out: Tensor4) -> tuple[Tensor4, Tensor4, Tensor4]:
-    """Return (grad_input, grad_weights, grad_bias)."""
+def fc_backward(cache: FcCache, grad_out: Tensor4) -> tuple[Tensor4, dict]:
+    """Return (grad_input, {"w": grad_weights, "b": grad_bias})."""
     if cache is None:
         raise StateError("fc backward called without cached forward state")
     x_flat, x_dims, wd = cache
@@ -559,7 +554,7 @@ def fc_backward(cache: FcCache, grad_out: Tensor4) -> tuple[Tensor4, Tensor4, Te
     grad_w = (go.T @ x_flat).reshape(out_size, x_flat.shape[1], 1, 1)
     grad_b = go.sum(axis=0).reshape(1, out_size, 1, 1)
     gx = (go @ wd).reshape(x_dims)
-    return Tensor4(gx), Tensor4(grad_w), Tensor4(grad_b)
+    return Tensor4(gx), {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,8 @@ class SchedulerConfig:
             raise ValueError(f"unknown scheduler metric {self.metric!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.min_delta < 0:  # a negative one counts a fall as an improvement
+            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if not self.factor > 1:
             raise ValueError(f"factor must be > 1, got {self.factor}")
         if not self.floor > 0:  # drops would take alpha to 0, which Adam rejects

@@ -69,17 +69,7 @@ def _conv_forward(node, x, mode, rng):
 def _conv_backward(cache, g, input_grad=True):
     if cache is not None and not input_grad:
         cache = cache._replace(input_grad=False)
-    return _named(conv2d_backward(cache, g))
-
-
-def _fc_forward(node, x, mode, rng):
-    return fc_forward(x, node.params["w"], node.params["b"])
-
-
-def _named(grads):
-    """(grad_input, grad_w, grad_b) -> (grad_input, {"w": grad_w, "b": grad_b})"""
-    g, gw, gb = grads
-    return g, {"w": gw, "b": gb}
+    return conv2d_backward(cache, g)
 
 
 #: kind -> (forward(node, x, mode, rng) -> (output, cache),
@@ -100,7 +90,8 @@ DISPATCH = {
             lambda cache, g, input_grad=True: (lrn_backward(cache, g), {})),
     "dropout": (lambda node, x, mode, rng: dropout_apply(x, node.cfg, mode, rng),
                 lambda cache, g, input_grad=True: (dropout_backward(cache, g), {})),
-    "fc": (_fc_forward, lambda cache, g, input_grad=True: _named(fc_backward(cache, g))),
+    "fc": (lambda node, x, mode, rng: fc_forward(x, node.params["w"], node.params["b"]),
+           lambda cache, g, input_grad=True: fc_backward(cache, g)),
     # a marker: the loss applies the softmax, and its gradient is already
     # with respect to the logits
     "softmax": (lambda node, x, mode, rng: (x, ()), lambda cache, g, input_grad=True: (g, {})),
@@ -267,8 +258,8 @@ class TrainConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # checkpoints store the seed as a u64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -110,6 +110,12 @@ class TestRunConfig:
         cfg = parse_run_config(p)
         assert (cfg.seed, cfg.resume, cfg.classes) == (9, "", "a#b,c")
 
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("alpha = 1e-3\nseed = 2\nalpha = 5\n")
+        with pytest.raises(ConfigError, match="line 3: key 'alpha' is already set on line 1"):
+            parse_run_config(p)
+
     def test_bool_values(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("augment = yes\nl2_include_biases = 0\n")
@@ -324,6 +330,10 @@ class TestTrainEvalPredict:
           "IMG-Conv2-ReLU-MaxPool-FC8-ReLU-FC2-Softmax"]),
         ({"precision": "float32"}, ["precision = float32", "float64"]),
         ({"resize": 8}, ["resize = 8", "(3, 8, 8)", "(3, 12, 12)"]),
+        # another seed draws another train/val split
+        ({"seed": 7}, ["seed = 7", "seed 4"]),
+        # another class order gives the images other labels
+        ({"classes": "dog,cat"}, ["classes = dog,cat", "cat,dog"]),
     ])
     def test_resume_into_another_net_is_usage_error(self, tmp_path, dataset_dir, capsys,
                                                     overrides, named):
@@ -392,6 +402,10 @@ class TestTrainEvalPredict:
         ("l2_lambda", "nan"), ("l2_lambda", "inf"), ("alpha", "inf"), ("epsilon", "inf"),
         ("factor", "inf"), ("min_delta", "nan"), ("alpha_floor", "nan"),
         ("init_fc", "gaussian:inf"),
+        # checkpoints store the seed as a u64
+        ("seed", 2**64),
+        # a negative min_delta counts a falling metric as an improvement
+        ("min_delta", -1),
     ])
     def test_out_of_range_value_is_usage_error_naming_its_key(
             self, tmp_path, dataset_dir, capsys, key, value):

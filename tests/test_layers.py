@@ -125,10 +125,10 @@ class TestConvGeometries:
                                     ConvConfig(f, (k, k), stride, pad))
         ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
         g = rng.standard_normal((n, f, ho, wo)).astype(dtype)
-        gx, gw, gb = conv2d_backward(cache, Tensor4(g))
+        gx, grads = conv2d_backward(cache, Tensor4(g))
         ref = _conv_reference(x, wt, b, stride, pad, g)
         tol = 1e-4 if dtype == np.float32 else 1e-11
-        for got, want in zip((out, gx, gw, gb), ref):
+        for got, want in zip((out, gx, grads["w"], grads["b"]), ref):
             assert got.data.dtype == dtype
             assert got.data.shape == want.shape
             assert got.data.flags.c_contiguous
@@ -182,11 +182,11 @@ class TestConvGeometries:
         _, cache = conv2d_forward(x, Tensor4(rng.standard_normal((4, 3, 3, 3))),
                                   Tensor4.new((1, 4, 1, 1)), ConvConfig(4))
         g = Tensor4(rng.standard_normal((2, 4, 6, 6)))
-        gx, gw, gb = conv2d_backward(cache, g)
-        none, gw_only, gb_only = conv2d_backward(cache._replace(input_grad=False), g)
+        gx, grads = conv2d_backward(cache, g)
+        none, grads_only = conv2d_backward(cache._replace(input_grad=False), g)
         assert gx.dims == x.dims and none is None
-        assert gw_only.data.tobytes() == gw.data.tobytes()
-        assert gb_only.data.tobytes() == gb.data.tobytes()
+        assert grads_only["w"].data.tobytes() == grads["w"].data.tobytes()
+        assert grads_only["b"].data.tobytes() == grads["b"].data.tobytes()
 
 
 def _draw_conv_case(data):
@@ -235,7 +235,8 @@ def test_blocked_forward_matches_whole_batch(data):
 
 def _backward_at(block_rows, cache, g):
     with mock.patch.object(layers, "CONV_BLOCK_ROWS", block_rows):
-        return conv2d_backward(cache, g)
+        gx, grads = conv2d_backward(cache, g)
+    return gx, grads["w"], grads["b"]
 
 
 def _assert_blocked_backward_matches_whole_batch(cache, g, block_rows, tol):

@@ -409,3 +409,5 @@ class TestPlateauScheduler:
             SchedulerConfig(factor=1.0)
         with pytest.raises(ValueError):
             SchedulerConfig(floor=0.0)
+        with pytest.raises(ValueError):
+            SchedulerConfig(min_delta=-1e-3)

@@ -188,10 +188,16 @@ class TestFreezeAndReinit:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [{"dtype": "float16"}, {"dtype": "int32"},
-                                        {"dropout_p": 1.0}, {"dropout_p": -0.1}])
+                                        {"dropout_p": 1.0}, {"dropout_p": -0.1},
+                                        {"seed": 2**64}])
     def test_out_of_range_value_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(arch=SMALL_ARCH, **kwargs)
+
+    def test_largest_seed_fits_a_checkpoint(self, tmp_path):
+        TrainConfig(arch=SMALL_ARCH, seed=2**64 - 1)
+        save_checkpoint(tmp_path / "net.ckpt", small_net(seed=2**64 - 1))
+        assert load_checkpoint(tmp_path / "net.ckpt").net.seed == 2**64 - 1
 
     def test_train_eval_cap_is_not_settable(self):
         assert TrainConfig(arch=SMALL_ARCH).train_eval_cap == 512
