@@ -29,6 +29,9 @@ from .layers import DEFAULT_DROPOUT_P, KINDS, Realized, realize
 
 _KIND_OF_TOKEN = {row.token: kind for kind, row in KINDS.items()}
 
+#: the paper's network input, (channels, height, width): RGB at 128x128
+INPUT_DIMS = (3, 128, 128)
+
 #: reference architectures selectable by name on the CLI
 PRESETS = {
     "M1": "IMG-(Conv64-ReLU)-(FC1024-ReLU-FC20)-Softmax",
@@ -218,7 +221,7 @@ def infer_shapes(layers: list[LayerSpec], input_dims: tuple[int, int, int]) -> l
     return realized
 
 
-def parse(text: str, input_dims: tuple[int, int, int] = (3, 128, 128)) -> NetworkSpec:
+def parse(text: str, input_dims: tuple[int, int, int] = INPUT_DIMS) -> NetworkSpec:
     """Parse and shape-check an architecture string."""
     layers = parse_layers(text)
     return NetworkSpec(tuple(input_dims), layers, infer_shapes(layers, input_dims))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class Dataset:
     samples: list[Sample | View]
     split: list[str]  # 'train' or 'val', aligned with samples
     channel_means: np.ndarray | None = None  # set by mean_subtract
-    class_names: list[str] = field(default_factory=list)
 
     def train_samples(self) -> list[Sample | View]:
         return [s for s, tag in zip(self.samples, self.split) if tag == "train"]
@@ -109,7 +108,7 @@ def _resize_plan(h: int, w: int, th: int, tw: int) -> tuple[np.ndarray, np.ndarr
     return offsets.reshape(4, th * tw), weights.reshape(4, th * tw)
 
 
-def resize_to(image: Tensor4, target: tuple[int, int] = (128, 128)) -> Tensor4:
+def resize_to(image: Tensor4, target: tuple[int, int]) -> Tensor4:
     """Bilinear resample to target (height, width), corner-aligned so a
     same-size call is the identity. Interpolation is convex, so outputs
     stay within the source value range.
@@ -191,11 +190,10 @@ def augment_train_split(dataset: Dataset, crop: tuple[int, int], seed: int) -> D
         else:
             samples.append(s)
             split.append("val")
-    return Dataset(samples, split, dataset.channel_means, dataset.class_names)
+    return Dataset(samples, split, dataset.channel_means)
 
 
-def split_60_40(samples: list[Sample], seed: int,
-                class_names: list[str] | None = None) -> Dataset:
+def split_60_40(samples: list[Sample], seed: int) -> Dataset:
     """Deterministic shuffle, then the first ceil(0.6*N) samples are the
     train split and the rest validation."""
     if not samples:
@@ -204,7 +202,7 @@ def split_60_40(samples: list[Sample], seed: int,
     shuffled = [samples[i] for i in perm]
     n_train = math.ceil(0.6 * len(samples))
     split = ["train"] * n_train + ["val"] * (len(samples) - n_train)
-    return Dataset(shuffled, split, None, class_names or [])
+    return Dataset(shuffled, split)
 
 
 def mean_subtract(dataset: Dataset) -> Dataset:

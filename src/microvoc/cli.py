@@ -34,7 +34,9 @@ EXIT_NUMERIC = 3
 class RunConfig:
     """Plain-text key=value configuration for the train command.
 
-    Defaults are the field defaults below; unknown keys are rejected.
+    Defaults are the field defaults below: a training key takes its
+    default from the library class whose field it sets. Unknown keys are
+    rejected.
     """
 
     arch: str = ""
@@ -42,28 +44,28 @@ class RunConfig:
     data_root: str = ""              # default: the manifest's directory
     out_dir: str = "run_out"
     classes: str = ",".join(dataio.VOC_CLASSES)
-    resize: int = 128
-    seed: int = 1
-    batch_size: int = 32
-    max_iterations: int = 2000
-    eval_every: int = 100
-    alpha: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    l2_lambda: float = 5e-4
-    l2_include_biases: bool = False
-    dropout_p: float = 0.5
-    augment: bool = False
-    crop: int = 112
-    scheduler_metric: str = "val_acc"
-    patience: int = 5
-    min_delta: float = 1e-3
-    factor: float = 10.0
-    alpha_floor: float = 1e-8
-    init_conv: str = "xavier"
-    init_fc: str = "xavier"
-    precision: str = "float64"
+    resize: int = archdsl.INPUT_DIMS[1]
+    seed: int = TrainConfig.seed
+    batch_size: int = TrainConfig.batch_size
+    max_iterations: int = TrainConfig.max_iterations
+    eval_every: int = TrainConfig.eval_every
+    alpha: float = AdamConfig.alpha
+    beta1: float = AdamConfig.beta1
+    beta2: float = AdamConfig.beta2
+    epsilon: float = AdamConfig.epsilon
+    l2_lambda: float = AdamConfig.lam
+    l2_include_biases: bool = TrainConfig.l2_include_biases
+    dropout_p: float = TrainConfig.dropout_p
+    augment: bool = TrainConfig.augment
+    crop: int = TrainConfig.crop[0]
+    scheduler_metric: str = SchedulerConfig.metric
+    patience: int = SchedulerConfig.patience
+    min_delta: float = SchedulerConfig.min_delta
+    factor: float = SchedulerConfig.factor
+    alpha_floor: float = SchedulerConfig.floor
+    init_conv: str = InitSpec.kind
+    init_fc: str = InitSpec.kind
+    precision: str = TrainConfig.dtype
     checkpoint_every: int = 0        # 0: only the final checkpoint
     resume: str = ""                 # optional checkpoint to resume from
 
@@ -88,6 +90,8 @@ def parse_run_config(path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from e
     seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -119,10 +123,8 @@ def parse_run_config(path) -> RunConfig:
 
 
 def _parse_init(raw: str, key: str) -> InitSpec:
-    if raw == "xavier":
-        return InitSpec("xavier")
-    if raw == "zero":
-        return InitSpec("zero")
+    if raw in ("xavier", "zero"):
+        return InitSpec(raw)
     if raw.startswith("gaussian:"):
         try:
             return InitSpec("gaussian", float(raw.split(":", 1)[1]))
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="print per-layer shapes and parameter count")
     p.add_argument("--arch", required=True)
-    p.add_argument("--input-size", type=int, default=128)
+    p.add_argument("--input-size", type=int, default=archdsl.INPUT_DIMS[1])
     p.set_defaults(func=cmd_inspect)
 
     return parser

@@ -121,7 +121,10 @@ def read_manifest(path, class_names=VOC_CLASSES) -> list[tuple[str, str, int]]:
     """Parse a manifest into (relative path, reduced label name, line
     number) records, validating labels against the class list."""
     known = set(class_names)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"manifest is not UTF-8 text: {e}") from e
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise ManifestError(f"missing header {MANIFEST_HEADER!r}", line=1)
     records = []
@@ -157,11 +160,10 @@ def load_image(path, size: tuple[int, int], channel_means=None) -> Tensor4:
 
 
 def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
-           seed: int = 1, resize: tuple[int, int] = (128, 128),
-           stats_path=None) -> Dataset:
-    """Decode everything a manifest names, resize, split 60:40 and
-    mean-center. Per-record decode failures are collected; the run
-    aborts when more than MAX_FAILURE_FRACTION of records fail.
+           seed: int, resize: tuple[int, int], stats_path=None) -> Dataset:
+    """Decode everything a manifest names, resize to ``resize`` = (H, W),
+    split 60:40 under ``seed`` and mean-center. Per-record failures are
+    collected; the run aborts when over MAX_FAILURE_FRACTION of records fail.
 
     A JSON stats sidecar (channel means and the split assignment) is
     written next to the manifest, or to ``stats_path``.
@@ -187,7 +189,7 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
     if not samples:
         raise IngestError("no loadable records in manifest")
 
-    dataset = mean_subtract(split_60_40(samples, seed, class_names))
+    dataset = mean_subtract(split_60_40(samples, seed))
 
     stats = {
         "format": "microvoc-stats v1",
@@ -204,12 +206,11 @@ def ingest(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
 
 
 def load_eval_samples(manifest_path, image_root=None, *, class_names=VOC_CLASSES,
-                      resize: tuple[int, int] = (128, 128),
-                      channel_means=None) -> list[Sample]:
+                      resize: tuple[int, int], channel_means=None) -> list[Sample]:
     """Load every record of a held-out manifest without splitting,
-    centered with the supplied channel means (from a checkpoint). The
-    first record that fails to load raises IngestError naming its line
-    and path."""
+    resized to ``resize`` = (H, W) and centered with the supplied channel
+    means (from a checkpoint). The first record that fails to load raises
+    IngestError naming its line and path."""
     manifest_path = Path(manifest_path)
     root = os.fspath(image_root if image_root is not None else manifest_path.parent)
     class_names = list(class_names)

@@ -53,7 +53,6 @@ DEFAULT_CONV_PAD = 1
 DEFAULT_POOL_KERNEL = 2
 DEFAULT_POOL_STRIDE = 2
 DEFAULT_DROPOUT_P = 0.5
-DEFAULT_LRN = dict(k=2.0, n=5, alpha=1e-4, beta=0.75)
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,10 @@ class ConvConfig:
 
 @dataclass(frozen=True)
 class LrnConfig:
-    k: float = DEFAULT_LRN["k"]
-    n: int = DEFAULT_LRN["n"]
-    alpha: float = DEFAULT_LRN["alpha"]
-    beta: float = DEFAULT_LRN["beta"]
+    k: float = 2.0
+    n: int = 5
+    alpha: float = 1e-4
+    beta: float = 0.75
 
     def __post_init__(self):
         require_finite(self, "k", "alpha", "beta")
@@ -401,8 +400,7 @@ class PoolCache(NamedTuple):
         return offsets
 
 
-def maxpool_forward(x: Tensor4, k: int = DEFAULT_POOL_KERNEL,
-                    stride: int = DEFAULT_POOL_STRIDE) -> tuple[Tensor4, PoolCache]:
+def maxpool_forward(x: Tensor4, k: int, stride: int) -> tuple[Tensor4, PoolCache]:
     """Max over k*k windows, as a running np.maximum over the k*k strided
     views (a NaN in a window gives a NaN). The cache keeps the input and the
     output, against which backward routes a gradient to the first maximizer."""

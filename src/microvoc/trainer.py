@@ -25,6 +25,7 @@ from .augment import Dataset, Sample, View, augment_train_split, stack_batch
 from .errors import ArchError, CheckpointError, ShapeError, StateError, VersionError
 from .initializers import InitSpec, init_weights, zero_init
 from .layers import (
+    DEFAULT_DROPOUT_P,
     DropoutConfig,
     Mode,
     conv2d_backward,
@@ -49,7 +50,6 @@ from .tensor import Tensor4
 _STREAM_INIT = 0x11
 _STREAM_SHUFFLE = 0x22
 _STREAM_DROPOUT = 0x33
-_STREAM_FREE = 0x44  # standalone forwards outside the training loop
 
 
 @dataclass
@@ -106,7 +106,6 @@ class Network:
         self.nodes = nodes
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.rng = np.random.default_rng([seed, _STREAM_FREE])
         self._grad_input: Tensor4 | None = None  # set by backward(input_grad=True)
 
     def param_dict(self, trainable_only: bool = False) -> dict[str, Tensor4]:
@@ -121,12 +120,11 @@ class Network:
     def forward(self, batch: Tensor4, mode: Mode = Mode.TEST,
                 rng: np.random.Generator | None = None) -> Tensor4:
         """Run the layers in order; returns logits. Train mode caches the
-        per-layer state needed by backward; dropout only drops in train."""
+        per-layer state needed by backward; dropout only drops in train,
+        with draws from ``rng``."""
         n, c, h, w = batch.dims
         if (c, h, w) != self.spec.input_dims:
             raise ShapeError(f"batch dims {(c, h, w)} != network input {self.spec.input_dims}")
-        if rng is None:
-            rng = self.rng
         x = batch if batch.dtype == self.dtype else batch.astype(self.dtype)
         for node in self.nodes:
             x, cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
@@ -153,21 +151,27 @@ class Network:
         return grads
 
 
+def _check_seed(seed: int) -> None:
+    """Checkpoints store the seed as a u64: refuse one outside [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def build(spec: NetworkSpec | str, *, seed: int = 0,
-          init_conv: InitSpec = InitSpec("xavier"),
-          init_fc: InitSpec = InitSpec("xavier"),
+          init_conv: InitSpec = InitSpec(),
+          init_fc: InitSpec = InitSpec(),
           dropout_p: float | None = None,
           dtype=np.float64,
-          input_dims: tuple[int, int, int] | None = None) -> Network:
+          input_dims: tuple[int, int, int] = archdsl.INPUT_DIMS) -> Network:
     """Instantiate a network from a spec (or architecture string).
 
     Conv/FC weights follow the per-kind InitSpec; biases are zeros.
     ``dropout_p``, when given, goes to ``archdsl.with_dropout``, before
     the layers are made. Deterministic under ``seed``.
     """
+    _check_seed(seed)
     if isinstance(spec, str):
-        spec = archdsl.parse(archdsl.resolve_arch(spec),
-                             input_dims or (3, 128, 128))
+        spec = archdsl.parse(archdsl.resolve_arch(spec), input_dims)
     if dropout_p is not None:
         spec = archdsl.with_dropout(spec, dropout_p)
     rng = np.random.default_rng([seed, _STREAM_INIT])
@@ -202,7 +206,7 @@ def freeze(net: Network, predicate) -> Network:
 
 
 def reinitialize(net: Network, kinds: tuple[str, ...] = ("fc",),
-                 init: InitSpec = InitSpec("gaussian", 0.005), seed: int = 0) -> Network:
+                 init: InitSpec = InitSpec("gaussian"), seed: int = 0) -> Network:
     """Re-draw the parameters of the given layer kinds (weights per
     ``init``, biases zero); the usual transfer-learning head reset."""
     rng = np.random.default_rng([seed, _STREAM_INIT, 1])
@@ -241,9 +245,9 @@ class TrainConfig:
     seed: int = 1
     augment: bool = False
     crop: tuple[int, int] = (112, 112)
-    init_conv: InitSpec = field(default_factory=lambda: InitSpec("xavier"))
-    init_fc: InitSpec = field(default_factory=lambda: InitSpec("xavier"))
-    dropout_p: float = 0.5
+    init_conv: InitSpec = field(default_factory=InitSpec)
+    init_fc: InitSpec = field(default_factory=InitSpec)
+    dropout_p: float = DEFAULT_DROPOUT_P
     l2_include_biases: bool = False
     dtype: str = "float64"
     train_eval_cap: ClassVar[int] = 512  # samples used for the train-accuracy metric
@@ -258,8 +262,7 @@ class TrainConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if not 0 <= self.seed < 2**64:  # checkpoints store the seed as a u64
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -403,6 +406,11 @@ _VERSION = 1
 _FLAG_FLOAT32 = 1
 _FLAG_ADAM = 2
 _FLAG_MEANS = 4
+#: the fixed fields after the arch string: input dims, seed, iteration,
+#: alpha, scheduler best and bad count, channel means
+_FIXED = struct.Struct("<3IQQddI3d")
+#: every tensor is stored as little-endian float64
+_STORED_DTYPE = "<f8"
 
 
 @dataclass
@@ -430,7 +438,7 @@ def _write_str(fh, s: str) -> None:
 
 def _write_tensor(fh, t: Tensor4) -> None:
     fh.write(struct.pack("<4I", *t.dims))
-    for _, piece, buf in chunks(t.data, "<f8"):
+    for _, piece, buf in chunks(t.data, _STORED_DTYPE):
         np.copyto(buf, piece)  # returns at once when buf is piece
         fh.write(buf.data)
 
@@ -467,7 +475,7 @@ class _Reader:
         dims = self.unpack("<4I")
         if dims != arr.shape:
             raise CheckpointError(f"checkpoint tensor {what} dims {dims} != arch's {arr.shape}")
-        for _, piece, buf in chunks(arr, "<f8"):
+        for _, piece, buf in chunks(arr, _STORED_DTYPE):
             if buf.nbytes > self.left or self.fh.readinto(buf) != buf.nbytes:
                 raise CheckpointError("checkpoint truncated")
             self.left -= buf.nbytes
@@ -512,11 +520,9 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, flags))
         _write_str(fh, archdsl.render(net.spec))
-        fh.write(struct.pack("<3I", *net.spec.input_dims))
-        fh.write(struct.pack("<QQd", net.seed, iteration,
-                             alpha if alpha is not None else 0.0))
-        fh.write(struct.pack("<dI", sched_best, sched.bad_count))
-        fh.write(struct.pack("<3d", *np.asarray(means, dtype=np.float64)))
+        fh.write(_FIXED.pack(*net.spec.input_dims, net.seed, iteration,
+                             alpha if alpha is not None else 0.0, sched_best, sched.bad_count,
+                             *np.asarray(means, dtype=np.float64)))
         names = class_names or []
         fh.write(struct.pack("<I", len(names)))
         for name in names:
@@ -556,10 +562,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise VersionError(f"unsupported checkpoint version {version}")
         dtype = np.dtype(np.float32) if flags & _FLAG_FLOAT32 else np.dtype(np.float64)
         arch = r.read_str()
-        input_dims = r.unpack("<3I")
-        seed, iteration, alpha = r.unpack("<QQd")
-        sched_best, sched_bad = r.unpack("<dI")
-        means = np.array(r.unpack("<3d"))
+        fixed = _FIXED.unpack(r.read(_FIXED.size))
+        input_dims, means = fixed[:3], np.array(fixed[8:])
+        seed, iteration, alpha, sched_best, sched_bad = fixed[3:8]
         (n_names,) = r.unpack("<I")
         names = [r.read_str() for _ in range(n_names)]
 

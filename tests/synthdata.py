@@ -36,7 +36,7 @@ def bar_dataset(n: int = 500, size: int = 32, seed: int = 0, *,
         img = bar_image(rng, size, label, noise=noise, strength=strength,
                         thickness=thickness)
         samples.append(Sample(Tensor4(img), label, f"{prefix}{i}"))
-    return mean_subtract(split_60_40(samples, seed, ["horizontal", "vertical"]))
+    return mean_subtract(split_60_40(samples, seed))
 
 
 def fourbar_dataset(n: int = 100, size: int = 32, seed: int = 0, *,
@@ -58,5 +58,4 @@ def fourbar_dataset(n: int = 100, size: int = 32, seed: int = 0, *,
             img[:, :, :, pos:pos + t] += strength
         img = np.clip(img, 0.0, 255.0)
         samples.append(Sample(Tensor4(img), label, f"fourbar{i}"))
-    return mean_subtract(split_60_40(samples, seed,
-                                     ["thin-h", "thick-h", "thin-v", "thick-v"]))
+    return mean_subtract(split_60_40(samples, seed))

@@ -393,7 +393,7 @@ def _eager_augment_train_split(dataset, crop, seed):
         else:
             samples.append(s)
             split.append("val")
-    return Dataset(samples, split, dataset.channel_means, dataset.class_names)
+    return Dataset(samples, split, dataset.channel_means)
 
 
 def _eager_stack_batch(samples, dtype):

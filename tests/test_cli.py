@@ -10,7 +10,7 @@ from microvoc import archdsl
 from microvoc.cli import RunConfig, main, parse_run_config, to_train_config
 from microvoc.dataio import MANIFEST_HEADER, write_ppm
 from microvoc.errors import ConfigError
-from microvoc.trainer import build, load_checkpoint, save_checkpoint
+from microvoc.trainer import TrainConfig, build, load_checkpoint, save_checkpoint
 
 TINY_ARCH = "IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-FC2)-Softmax"
 
@@ -131,6 +131,17 @@ class TestRunConfig:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+    def test_non_utf8_file_is_usage_error_naming_it(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"arch = M1\nclasses = caf\xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"config file {p} is not UTF-8")):
+            parse_run_config(p)
+        assert main(["train", "--config", str(p)]) == 1
+
+    def test_defaults_are_the_librarys(self):
+        assert to_train_config(RunConfig(arch="M3")) == TrainConfig(arch=archdsl.PRESETS["M3"])
+        assert RunConfig().resize == archdsl.INPUT_DIMS[1]
 
     def test_to_train_config(self):
         cfg = RunConfig(arch="M1", alpha=0.01, scheduler_metric="train_loss",

@@ -126,6 +126,12 @@ class TestManifest:
         records = read_manifest(manifest)
         assert records[0][1] == "person"
 
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        manifest = tmp_path / "m"
+        manifest.write_bytes(MANIFEST_HEADER.encode() + b"\na\xff.ppm\tdog\n")
+        with pytest.raises(ManifestError, match="manifest is not UTF-8 text"):
+            read_manifest(manifest)
+
     def test_missing_tab_rejected(self, tmp_path):
         manifest = tmp_path / "m"
         manifest.write_text(f"{MANIFEST_HEADER}\na.ppm dog\n")

@@ -199,6 +199,10 @@ class TestTrainConfig:
         save_checkpoint(tmp_path / "net.ckpt", small_net(seed=2**64 - 1))
         assert load_checkpoint(tmp_path / "net.ckpt").net.seed == 2**64 - 1
 
+    def test_build_refuses_a_seed_a_checkpoint_cannot_store(self):
+        with pytest.raises(ValueError, match="seed"):
+            small_net(seed=2**64)
+
     def test_train_eval_cap_is_not_settable(self):
         assert TrainConfig(arch=SMALL_ARCH).train_eval_cap == 512
         with pytest.raises(TypeError):
