@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArchError, ShapeError
-from .layers import DEFAULT_DROPOUT_P, KINDS, Realized, realize
+from .layers import DEFAULT_DROPOUT_P, KINDS, Realized
 
 _KIND_OF_TOKEN = {row.token: kind for kind, row in KINDS.items()}
 
@@ -201,7 +201,7 @@ def parse_layers(text: str) -> list[LayerSpec]:
 
 
 def infer_shapes(layers: list[LayerSpec], input_dims: tuple[int, int, int]) -> list[Realized]:
-    """Realize each layer on its input dims, in order.
+    """Realize each layer on its input dims, in order, by its kind's row.
 
     Raises ArchError identifying the offending layer when a conv/pool
     geometry does not divide exactly, an option value is out of range or
@@ -214,7 +214,7 @@ def infer_shapes(layers: list[LayerSpec], input_dims: tuple[int, int, int]) -> l
     realized: list[Realized] = []
     for i, ls in enumerate(layers):
         try:
-            realized.append(realize(ls, dims))
+            realized.append(KINDS[ls.kind].realize(ls, dims))
         except (ShapeError, ValueError) as e:
             raise ArchError(f"layer {i} ({ls.token()}): {e}") from e
         dims = realized[-1].out_dims

@@ -3,7 +3,7 @@
 Commands: ``train --config F``, ``eval --checkpoint C --manifest M``,
 ``predict --checkpoint C --image I``, ``gradcheck [--layer K]`` and
 ``inspect --arch S``. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numeric-check failure.
+error, 3 numeric failure (a gradient check, or a non-finite training loss).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import archdsl, dataio, gradcheck, trainer
-from .errors import ArchError, CheckpointError, ConfigError, MicrovocError
+from .errors import ArchError, CheckpointError, ConfigError, MicrovocError, NumericError
 from .initializers import InitSpec
 from .layers import Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     except (ConfigError, ArchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (MicrovocError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -70,19 +70,6 @@ def decode_ppm(data: bytes) -> np.ndarray:
     return arr
 
 
-def encode_ppm(image: np.ndarray) -> bytes:
-    """(3, H, W) values in [0, 255] to binary PPM bytes."""
-    c, h, w = image.shape
-    if c != 3:
-        raise ValueError(f"expected 3 channels, got {c}")
-    pixels = np.clip(np.rint(image), 0, 255).astype(np.uint8).transpose(1, 2, 0)
-    return b"P6\n%d %d\n255\n" % (w, h) + pixels.tobytes()
-
-
-def write_ppm(path, image: np.ndarray) -> None:
-    Path(path).write_bytes(encode_ppm(image))
-
-
 def _decode_png(data: bytes) -> np.ndarray:
     try:
         from PIL import Image

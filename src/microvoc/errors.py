@@ -26,6 +26,11 @@ class StateError(MicrovocError, RuntimeError):
     (e.g. backward without a cached forward)."""
 
 
+class NumericError(StateError):
+    """Training reached a non-finite loss; the step that reached it is not
+    applied."""
+
+
 class ArchError(MicrovocError, ValueError):
     """Architecture string failed to parse or shape-check.
 

@@ -1,11 +1,12 @@
 """Finite-difference verification of every analytic gradient.
 
-One generic check runs each layer kind's cases through the trainer's
-forward/backward table. It builds a scalar probe loss L from the layer's
-output (the sum of output * R for a fixed random R, or the cross-entropy
-loss itself), computes the analytic gradient through the backward pass,
-and compares it elementwise against central differences
-(f(x+eps) - f(x-eps)) / 2eps in double precision.
+One generic check runs each case of a layer kind as a one-layer
+network, through ``Network.forward`` and ``Network.backward``. It builds
+a scalar probe loss L from the layer's output (the sum of output * R for
+a fixed random R, or the cross-entropy loss itself), computes the
+analytic gradient through the backward pass, and compares it elementwise
+against central differences (f(x+eps) - f(x-eps)) / 2eps in double
+precision.
 
 Relative error is |a - b| / max(1e-8, |a| + |b|), and a check passes
 when its maximum over all components is below the threshold.
@@ -17,9 +18,8 @@ import copy
 
 import numpy as np
 
-from . import archdsl, trainer
-from .archdsl import LayerSpec
-from .layers import Mode, realize, softmax_cross_entropy
+from . import trainer
+from .layers import KINDS, Mode, softmax_cross_entropy
 from .tensor import Tensor4
 
 EPS = 1e-5
@@ -80,52 +80,55 @@ def _xent_probe(rng, out):
             softmax_cross_entropy(out, labels)[2])
 
 
-#: kind -> cases of (input maker, input dims, layer, probe); every
-#: parameter is drawn standard normal after the input
+#: kind -> cases of (input maker, input dims, layer token, probe); each
+#: case runs as a one-layer network, and every parameter is drawn standard
+#: normal after the input
 CASES = {
     "conv": [  # shape-preserving, strided and non-square strided geometries
-        (_normal, (2, 3, 5, 5), LayerSpec("conv", 4, {"k": 3, "s": 1, "p": 1}), _random_probe),
-        (_normal, (2, 2, 6, 6), LayerSpec("conv", 3, {"k": 2, "s": 2, "p": 0}), _random_probe),
-        (_normal, (2, 2, 7, 10), LayerSpec("conv", 3, {"k": 3, "s": 3, "p": 1}), _random_probe),
+        (_normal, (2, 3, 5, 5), "Conv4[k=3,s=1,p=1]", _random_probe),
+        (_normal, (2, 2, 6, 6), "Conv3[k=2,s=2,p=0]", _random_probe),
+        (_normal, (2, 2, 7, 10), "Conv3[k=3,s=3,p=1]", _random_probe),
     ],
-    "relu": [(_off_kink, (2, 3, 5, 5), LayerSpec("relu"), _random_probe)],
+    "relu": [(_off_kink, (2, 3, 5, 5), "ReLU", _random_probe)],
     "maxpool": [  # non-overlapping and overlapping windows
-        (_distinct, (2, 3, 6, 6), LayerSpec("maxpool", opts={"k": 2, "s": 2}), _random_probe),
-        (_distinct, (2, 2, 7, 7), LayerSpec("maxpool", opts={"k": 3, "s": 2}), _random_probe),
+        (_distinct, (2, 3, 6, 6), "MaxPool[k=2,s=2]", _random_probe),
+        (_distinct, (2, 2, 7, 7), "MaxPool[k=3,s=2]", _random_probe),
     ],
-    "lrn": [(_normal, (2, 6, 4, 4),
-             LayerSpec("lrn", opts={"k": 2.0, "n": 5, "alpha": 0.05, "beta": 0.75}),
-             _random_probe)],
-    "dropout": [(_normal, (2, 3, 5, 5), LayerSpec("dropout", opts={"p": 0.5}), _random_probe)],
-    "fc": [(_normal, (2, 3, 4, 4), LayerSpec("fc", 5), _random_probe)],
-    "softmax": [(_normal, (4, 7, 1, 1), LayerSpec("softmax"), _xent_probe)],
+    "lrn": [(_normal, (2, 6, 4, 4), "LRN[k=2.0,n=5,alpha=0.05,beta=0.75]", _random_probe)],
+    "dropout": [(_normal, (2, 3, 5, 5), "Dropout[p=0.5]", _random_probe)],
+    "fc": [(_normal, (2, 3, 4, 4), "FC5", _random_probe)],
+    "softmax": [(_normal, (4, 7, 1, 1), "Softmax", _xent_probe)],
 }
 
 
+def _pairs(net: trainer.Network, grads: dict, x: Tensor4) -> list:
+    """(analytic gradient, array) pairs of every parameter and the input."""
+    return [(grads[key].data, p.data) for key, p in net.param_dict().items()] + [
+        (net._grad_input.data, x.data)]
+
+
 def check_layer(kind: str, seed: int = 0) -> float:
-    """Input and parameter gradients of every case of ``kind``, through
-    the trainer's forward/backward adapters in train mode, against central
-    differences. The probe loss reruns the forward on a copy of the
-    generator as it was before the analytic forward, so dropout keeps the
-    same mask throughout."""
-    forward, backward = trainer.DISPATCH[kind]
+    """Input and parameter gradients of every case of ``kind``, run as a
+    one-layer network in train mode, against central differences. The
+    probe loss reruns the forward on a copy of the generator as it was
+    before the analytic forward, so dropout keeps the same mask
+    throughout."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for make_input, dims, spec, probe in CASES[kind]:
+    for make_input, dims, layer, probe in CASES[kind]:
         x = Tensor4(make_input(rng, dims))
-        layer = realize(spec, dims[1:])
-        params = {name: Tensor4(rng.standard_normal(d)) for name, d in layer.param_shapes.items()}
-        node = trainer.LayerNode(spec, layer.cfg, params)
+        net = trainer.build(f"IMG-{layer}", input_dims=dims[1:])
+        for p in net.param_dict().values():
+            p.data[...] = rng.standard_normal(p.dims)
         replay = copy.deepcopy(rng)
-        out, cache = forward(node, x, Mode.TRAIN, rng)
+        out = net.forward(x, Mode.TRAIN, rng)
         probe_loss, grad_out = probe(rng, out)
 
         def loss() -> float:
-            return probe_loss(forward(node, x, Mode.TRAIN, copy.deepcopy(replay))[0])
+            return probe_loss(net.forward(x, Mode.TRAIN, copy.deepcopy(replay)))
 
-        gx, grads = backward(cache, grad_out)
-        pairs = [(gx.data, x.data)] + [(grads[k].data, p.data) for k, p in params.items()]
-        worst = max(worst, _worst(loss, pairs))
+        grads = net.backward(grad_out, input_grad=True)
+        worst = max(worst, _worst(loss, _pairs(net, grads, x)))
     return worst
 
 
@@ -137,7 +140,7 @@ def check_network(seed: int = 0) -> float:
     every parameter gradient plus the input gradient against central
     differences of the cross-entropy loss."""
     rng = np.random.default_rng(seed)
-    net = trainer.build(archdsl.parse(TINY_ARCH, (3, 8, 8)), seed=seed)
+    net = trainer.build(TINY_ARCH, seed=seed, input_dims=(3, 8, 8))
     x = Tensor4(rng.standard_normal((2, 3, 8, 8)))
     labels = rng.integers(0, 3, size=2)
 
@@ -149,12 +152,10 @@ def check_network(seed: int = 0) -> float:
     logits = net.forward(x, Mode.TRAIN)
     _, _, grad_logits = softmax_cross_entropy(logits, labels)
     grads = net.backward(grad_logits, input_grad=True)
-
-    pairs = [(grads[key].data, p.data) for key, p in net.param_dict().items()]
-    return _worst(loss, pairs + [(net._grad_input.data, x.data)])
+    return _worst(loss, _pairs(net, grads, x))
 
 
-LAYER_KINDS = (*trainer.DISPATCH, "network")
+LAYER_KINDS = (*KINDS, "network")
 
 
 def run_checks(only: str | None = None, seed: int = 0) -> dict[str, float]:
@@ -162,7 +163,7 @@ def run_checks(only: str | None = None, seed: int = 0) -> dict[str, float]:
     relative error."""
     if only is not None and only not in LAYER_KINDS:
         raise ValueError(f"unknown check {only!r}; expected one of {LAYER_KINDS}")
-    results = {kind: check_layer(kind, seed) for kind in trainer.DISPATCH if only in (None, kind)}
+    results = {kind: check_layer(kind, seed) for kind in KINDS if only in (None, kind)}
     if only in (None, "network"):
         results["network"] = check_network(seed)
     return results

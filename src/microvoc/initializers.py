@@ -1,9 +1,10 @@
-"""Weight initialization schemes.
+"""Weight initialization schemes, the three branches of ``init_weights``.
 
 Fan-based uniform ("Xavier") init for weights trained from scratch,
-plain Gaussian init for re-initialized classifier heads, zeros for
-biases. All schemes draw from an explicit ``numpy.random.Generator``
-so builds are reproducible from a recorded seed.
+plain Gaussian init for re-initialized classifier heads, zeros for a net
+whose weights a checkpoint overwrites. The drawn schemes draw from an
+explicit ``numpy.random.Generator``, so builds are reproducible from a
+recorded seed.
 """
 
 from __future__ import annotations
@@ -31,13 +32,19 @@ class InitSpec:
             raise ValueError(f"gaussian std must be > 0, got {self.std}")
 
 
-def xavier_init(fan_in: int, fan_out: int, shape: Dims, rng: np.random.Generator,
-                dtype=np.float64) -> Tensor4:
-    """Uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out)).
-
-    For conv weights fan_in = c*kh*kw and fan_out = f*kh*kw; for FC
-    weights fan_in = inputs and fan_out = outputs.
-    """
+def init_weights(spec: InitSpec, fan_in: int, fan_out: int, shape: Dims,
+                 rng: np.random.Generator, dtype=np.float64) -> Tensor4:
+    """A tensor of ``shape`` drawn per ``spec.kind``. Xavier is uniform on
+    [-L, L] with L = sqrt(6 / (fan_in + fan_out)), where fan_in = c*kh*kw
+    and fan_out = f*kh*kw for conv weights, and the inputs and outputs for
+    FC weights; gaussian is i.i.d. normal with mean 0 and standard
+    deviation ``spec.std``; zero draws nothing."""
+    if spec.kind == "zero":
+        return Tensor4.new(shape, 0.0, dtype=dtype)
+    if spec.kind == "gaussian":
+        r = rng.standard_normal(size=shape, dtype=np.dtype(dtype))
+        r *= spec.std
+        return Tensor4(r)
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fans must be >= 1, got fan_in={fan_in} fan_out={fan_out}")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -47,27 +54,3 @@ def xavier_init(fan_in: int, fan_out: int, shape: Dims, rng: np.random.Generator
     r *= 2.0 * limit
     r -= limit
     return Tensor4(r)
-
-
-def gaussian_init(std: float, shape: Dims, rng: np.random.Generator,
-                  dtype=np.float64) -> Tensor4:
-    """I.i.d. normal with mean 0 and standard deviation ``std``."""
-    if not std > 0:
-        raise ValueError(f"std must be > 0, got {std}")
-    r = rng.standard_normal(size=shape, dtype=np.dtype(dtype))
-    r *= std
-    return Tensor4(r)
-
-
-def zero_init(shape: Dims, dtype=np.float64) -> Tensor4:
-    return Tensor4.new(shape, 0.0, dtype=dtype)
-
-
-def init_weights(spec: InitSpec, fan_in: int, fan_out: int, shape: Dims,
-                 rng: np.random.Generator, dtype=np.float64) -> Tensor4:
-    """Dispatch on the InitSpec kind."""
-    if spec.kind == "xavier":
-        return xavier_init(fan_in, fan_out, shape, rng, dtype=dtype)
-    if spec.kind == "gaussian":
-        return gaussian_init(spec.std, shape, rng, dtype=dtype)
-    return zero_init(shape, dtype=dtype)

@@ -2,25 +2,24 @@
 
 Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
-upstream gradient into the input gradient, plus for conv and FC a dict of
-parameter gradients keyed by the names ``realize`` gives. ReLU, LRN and
-dropout take the ``Mode``: in test mode they cache nothing (``None``),
-as only backward reads a cache. Conv's forward builds nothing that only
-backward reads (its cache refers to the input), so it works the same in
-both modes and the trainer drops its cache in test mode. Every kernel takes
-and returns NCHW tensors. Inside, conv works on the zero-padded input
-laid out as an NHWC row grid, one row of C channels per position, where
-each kernel tap is one GEMM on a contiguous row slice. Its forward and
-its input gradient (the forward run backwards) share one loop over
-blocks of whole images of about CONV_BLOCK_ROWS grid rows, on one reused
-block-sized grid, accumulator and tap term, so a block's working set
-stays in cache; only the weight gradient pads the whole batch, once.
-Max pooling takes a running maximum over the k*k strided views of its
-input and keeps its output, against which backward routes; LRN runs one
-image at a time on reused (c, h, w) buffers. ``KINDS`` holds one row
-per kind: its token and options in architecture strings, and its
-``realize``, which gives its validated config, output dims and parameter
-shapes for a given input.
+upstream gradient into the input gradient, plus for conv and FC a dict
+of parameter gradients keyed by the names their kind's ``realize``
+gives. ReLU, LRN and dropout take the ``Mode``: in test mode they cache
+nothing, as only backward reads a cache. The caches of conv, max pooling
+and FC refer to arrays their forwards make anyway, so the network drops
+them in test mode. Every kernel takes and returns NCHW tensors. Inside,
+conv works on the zero-padded input laid out as an NHWC row grid, one
+row of C channels per position, where each kernel tap is one GEMM on a
+contiguous row slice. Its forward and its input gradient (the forward
+run backwards) share one loop over blocks of whole images of about
+CONV_BLOCK_ROWS grid rows, on one reused block-sized grid, accumulator
+and tap term, so a block's working set stays in cache; only the weight
+gradient pads the whole batch, once. Max pooling takes a running maximum
+over the k*k strided views of its input and keeps its output, against
+which backward routes; LRN runs one image at a time on reused (c, h, w)
+buffers. ``KINDS`` holds one row per kind: its token and options in
+architecture strings, and its ``realize``, which gives its validated
+config, output dims and parameter shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -163,7 +162,7 @@ class Kind(NamedTuple):
     token: str  # its name in architecture strings
     counted: bool  # the token takes a count: filters for conv, neurons for fc
     opts: dict  # bracket option -> value type (int or float)
-    realize: Callable  # (spec, in_dims) -> Realized
+    realize: Callable  # (LayerSpec, in_dims) -> Realized; ShapeError, ValueError if bad
 
 
 #: kind -> Kind; the parser, the printer and shape inference read this table
@@ -178,14 +177,6 @@ KINDS = {
     "fc": Kind("FC", True, {}, _realize_fc),
     "softmax": Kind("Softmax", False, {}, _realize_softmax),
 }
-
-
-def realize(spec, in_dims: tuple[int, int, int]) -> Realized:
-    """Validated config, (C, H, W) output dims and parameter shapes of one
-    parsed layer (an archdsl.LayerSpec) on ``in_dims`` input. A Dropout
-    without a ``p`` option gets DEFAULT_DROPOUT_P. Bad geometry raises
-    ShapeError, bad option values ValueError."""
-    return KINDS[spec.kind].realize(spec, tuple(in_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ import numpy as np
 from . import archdsl
 from .archdsl import LayerSpec, NetworkSpec
 from .augment import Dataset, Sample, View, augment_train_split, stack_batch
-from .errors import ArchError, CheckpointError, ShapeError, StateError, VersionError
-from .initializers import InitSpec, init_weights, zero_init
+from .errors import (ArchError, CheckpointError, NumericError, ShapeError, StateError,
+                     VersionError)
+from .initializers import InitSpec, init_weights
 from .layers import (
     DEFAULT_DROPOUT_P,
     DropoutConfig,
@@ -55,15 +56,10 @@ _STREAM_DROPOUT = 0x33
 @dataclass
 class LayerNode:
     spec: LayerSpec
-    cfg: object = None  # the config layers.realize gave this layer
+    cfg: object = None  # the config its kind's realize gave this layer
     params: dict[str, Tensor4] = field(default_factory=dict)
     frozen: bool = False  # frozen layers still get gradients; the optimizer drops them
     cache: object = None
-
-
-def _conv_forward(node, x, mode, rng):
-    out, cache = conv2d_forward(x, node.params["w"], node.params["b"], node.cfg)
-    return out, (cache if mode is Mode.TRAIN else None)
 
 
 def _conv_backward(cache, g, input_grad=True):
@@ -74,14 +70,15 @@ def _conv_backward(cache, g, input_grad=True):
 
 #: kind -> (forward(node, x, mode, rng) -> (output, cache),
 #:          backward(cache, grad_out, input_grad=True) -> (grad_input, {param name: grad})).
-#: A test-mode forward returns no cache. Backward may skip grad_input (and
-#: return None for it) when ``input_grad`` is False; only conv does. The
-#: adapters look the kernels up by their names in this module at call
-#: time, so a wrapper installed on ``trainer.<kernel>`` sees every call;
-#: they call each kernel with its own arguments only, so the mode and the
-#: input-gradient switch of conv do not reach its argument list.
+#: ``Network.forward`` drops the cache of a test-mode forward. Backward may
+#: skip grad_input (and return None for it) when ``input_grad`` is False;
+#: only conv does. The adapters look the kernels up by their names in this
+#: module at call time, so a wrapper installed on ``trainer.<kernel>`` sees
+#: every call; they call each kernel with its own arguments only, so the
+#: mode and the input-gradient switch of conv do not reach its argument list.
 DISPATCH = {
-    "conv": (_conv_forward, _conv_backward),
+    "conv": (lambda node, x, mode, rng: conv2d_forward(
+                 x, node.params["w"], node.params["b"], node.cfg), _conv_backward),
     "relu": (lambda node, x, mode, rng: relu_forward(x, mode),
              lambda cache, g, input_grad=True: (relu_backward(cache, g), {})),
     "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
@@ -120,15 +117,16 @@ class Network:
     def forward(self, batch: Tensor4, mode: Mode = Mode.TEST,
                 rng: np.random.Generator | None = None) -> Tensor4:
         """Run the layers in order; returns logits. Train mode caches the
-        per-layer state needed by backward; dropout only drops in train,
-        with draws from ``rng``."""
+        per-layer state needed by backward; test mode drops every layer's
+        cache. Dropout only drops in train, with draws from ``rng``."""
         n, c, h, w = batch.dims
         if (c, h, w) != self.spec.input_dims:
             raise ShapeError(f"batch dims {(c, h, w)} != network input {self.spec.input_dims}")
         x = batch if batch.dtype == self.dtype else batch.astype(self.dtype)
         for node in self.nodes:
-            x, cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
-            node.cache = cache if mode is Mode.TRAIN else None
+            x, node.cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
+            if mode is not Mode.TRAIN:
+                node.cache = None  # at once: a cache may refer to the layer's input
         return x
 
     def backward(self, grad_logits: Tensor4, input_grad: bool = False) -> dict[str, Tensor4]:
@@ -189,7 +187,7 @@ def _init_params(shapes: dict, init: InitSpec, rng: np.random.Generator,
     params = {}
     for name, dims in shapes.items():
         if name == "b":
-            params[name] = zero_init(dims, dtype=dtype)
+            params[name] = Tensor4.new(dims, 0.0, dtype=dtype)
         else:
             area = dims[2] * dims[3]
             params[name] = init_weights(init, dims[1] * area, dims[0] * area, dims, rng,
@@ -366,7 +364,10 @@ def train(config: TrainConfig, dataset: Dataset, *,
         grads = net.backward(grad_logits)
         penalty = apply_l2(net.param_dict(), grads, config.adam.lam,
                            include_biases=config.l2_include_biases)
-        loss_window.append(data_loss + penalty)
+        loss = data_loss + penalty
+        if not math.isfinite(loss):
+            raise NumericError(f"training loss is {loss} at iteration {it}")
+        loss_window.append(loss)
         adam_step(net.param_dict(trainable_only=True), grads, state,
                   replace(config.adam, alpha=lr))
         del grads  # not kept alive through the next forward and backward

@@ -1,4 +1,5 @@
-"""Synthetic image tasks shared by the trainer and acceptance tests.
+"""Synthetic image tasks shared by the trainer and acceptance tests, and
+a binary PPM writer for tests that ingest image files.
 
 Bar images: 3-channel squares with a bright horizontal or vertical bar
 at a random position over Gaussian background noise. Orientation is the
@@ -7,6 +8,8 @@ it from being trivial at high noise levels.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -59,3 +62,16 @@ def fourbar_dataset(n: int = 100, size: int = 32, seed: int = 0, *,
         img = np.clip(img, 0.0, 255.0)
         samples.append(Sample(Tensor4(img), label, f"fourbar{i}"))
     return mean_subtract(split_60_40(samples, seed))
+
+
+def encode_ppm(image: np.ndarray) -> bytes:
+    """(3, H, W) values in [0, 255] to binary PPM bytes."""
+    c, h, w = image.shape
+    if c != 3:
+        raise ValueError(f"expected 3 channels, got {c}")
+    pixels = np.clip(np.rint(image), 0, 255).astype(np.uint8).transpose(1, 2, 0)
+    return b"P6\n%d %d\n255\n" % (w, h) + pixels.tobytes()
+
+
+def write_ppm(path, image: np.ndarray) -> None:
+    Path(path).write_bytes(encode_ppm(image))

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from synthdata import write_ppm
+
 from microvoc import archdsl
 from microvoc.cli import RunConfig, main, parse_run_config, to_train_config
-from microvoc.dataio import MANIFEST_HEADER, write_ppm
+from microvoc.dataio import MANIFEST_HEADER
 from microvoc.errors import ConfigError
 from microvoc.trainer import TrainConfig, build, load_checkpoint, save_checkpoint
 
@@ -456,6 +458,15 @@ class TestTrainEvalPredict:
         ck = load_checkpoint(tmp_path / "run" / "model.ckpt")
         assert ck.iteration == 5
         assert ck.adam_state is not None and ck.adam_state.t == 5
+
+    def test_non_finite_loss_exits_3(self, tmp_path, dataset_dir, capsys):
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           init_conv="gaussian:1e200", max_iterations=5, eval_every=1)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: training loss is inf at iteration 1\n"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_predict_on_inflated_tensor_dims_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "net.ckpt"

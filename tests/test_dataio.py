@@ -5,16 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from synthdata import encode_ppm, write_ppm
+
 from microvoc.dataio import (
     MANIFEST_HEADER,
     VOC_CLASSES,
     decode_ppm,
-    encode_ppm,
     ingest,
     load_eval_samples,
     read_image,
     read_manifest,
-    write_ppm,
 )
 from microvoc.errors import IngestError, ManifestError
 

@@ -11,10 +11,10 @@ from synthdata import bar_dataset
 
 from microvoc import archdsl
 from microvoc.augment import Sample
-from microvoc.errors import CheckpointError, StateError, VersionError
+from microvoc.errors import CheckpointError, NumericError, StateError, VersionError
 from microvoc.initializers import InitSpec
-from microvoc.layers import Mode, softmax_cross_entropy
-from microvoc.optim import CHUNK, AdamState, PlateauScheduler, SchedulerConfig
+from microvoc.layers import KINDS, Mode, softmax_cross_entropy
+from microvoc.optim import CHUNK, AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from microvoc.tensor import Tensor4
 from microvoc.trainer import (
     TrainConfig,
@@ -28,6 +28,7 @@ from microvoc.trainer import (
 )
 
 SMALL_ARCH = "IMG-(Conv4-ReLU-MaxPool)-(FC16-ReLU-FC4)-Softmax"
+NAN_ARCH = "IMG-(Conv2-ReLU-MaxPool)-(FC4-ReLU-FC2)-Softmax"
 
 
 def small_net(seed=0, **kwargs):
@@ -99,6 +100,31 @@ class TestForward:
         from microvoc.errors import ShapeError
         with pytest.raises(ShapeError):
             net.forward(random_batch(2, (3, 8, 8)))
+
+    def test_only_a_train_mode_forward_leaves_caches(self):
+        # the network drops every test-mode cache, whatever an adapter returns
+        net = build(archdsl.parse("IMG-Conv2-ReLU-LRN[n=3]-MaxPool-Dropout-FC3-Softmax",
+                                  (3, 8, 8)))
+        assert {node.spec.kind for node in net.nodes} == set(KINDS)
+        x = random_batch(2, (3, 8, 8))
+        net.forward(x, Mode.TRAIN, np.random.default_rng(0))
+        assert all(node.cache is not None for node in net.nodes)
+        net.forward(x, Mode.TEST)
+        assert all(node.cache is None for node in net.nodes)
+
+    def test_test_mode_frees_each_layer_input_before_the_next_layer(self):
+        # the conv's cache refers to its input, the first ReLU's output;
+        # holding that through the second ReLU would add one activation
+        net = build(archdsl.parse("IMG-ReLU-Conv8[k=1,p=0]-ReLU-FC2", (8, 32, 32)))
+        x = random_batch(16, (8, 32, 32))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            net.forward(x, Mode.TEST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2.75 * x.data.nbytes  # 2.5 activations; 3 when held
 
 
 class TestBackward:
@@ -264,6 +290,20 @@ class TestTrainLoop:
         cfg = TrainConfig(arch=SMALL_ARCH, max_iterations=5, eval_every=5, seed=1)
         with pytest.raises(StateError):
             train(cfg, ds, net=net)
+
+    # unchecked, the overflowing step trains on with losses 26.96, nan, nan,
+    # ... and the overflowing init with inf from the first step on
+    @pytest.mark.parametrize("overrides, iteration, value", [
+        (dict(adam=AdamConfig(alpha=1e300)), 2, "nan"),
+        (dict(init_conv=InitSpec("gaussian", 1e200)), 1, "inf"),
+    ])
+    def test_non_finite_loss_stops_training(self, overrides, iteration, value):
+        cfg = TrainConfig(arch=NAN_ARCH, max_iterations=10, eval_every=1, **overrides)
+        state = AdamState()
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=f"training loss is {value} at iteration {iteration}$"):
+            train(cfg, bar_dataset(40, 16, seed=8), adam_state=state)
+        assert state.t == iteration - 1  # the step that reached it is not applied
 
 
 class TestEvaluate:

@@ -1,6 +1,8 @@
 """Rebuild the four pinned training runs and check their bytes.
 
-    PYTHONPATH=src python tools/pinned_hashes.py
+    python tools/pinned_hashes.py
+
+It imports microvoc from the tree's own ``src/``, installed or not.
 
 A change that must not alter what microvoc computes keeps the sha256 of
 ``history.csv`` and ``model.ckpt`` of these runs:
@@ -37,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
 from synthdata import bar_dataset, fourbar_dataset  # noqa: E402
 
