@@ -3,7 +3,8 @@
 Commands: ``train --config F``, ``eval --checkpoint C --manifest M``,
 ``predict --checkpoint C --image I``, ``gradcheck [--layer K]`` and
 ``inspect --arch S``. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numeric failure (a gradient check, or a non-finite training loss).
+error, 3 numeric failure (a gradient check, a non-finite training loss, or
+an evaluation that overflows or gives non-finite logits).
 """
 
 from __future__ import annotations

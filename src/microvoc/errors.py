@@ -27,8 +27,8 @@ class StateError(MicrovocError, RuntimeError):
 
 
 class NumericError(StateError):
-    """Training reached a non-finite loss; the step that reached it is not
-    applied."""
+    """Training reached a non-finite loss, whose step is not applied, or an
+    evaluation's forward overflowed or gave non-finite logits."""
 
 
 class ArchError(MicrovocError, ValueError):

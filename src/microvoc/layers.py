@@ -5,21 +5,25 @@ cache object, and the matching ``*_backward`` turns the cache and an
 upstream gradient into the input gradient, plus for conv and FC a dict
 of parameter gradients keyed by the names their kind's ``realize``
 gives. ReLU, LRN and dropout take the ``Mode``: in test mode they cache
-nothing, as only backward reads a cache. The caches of conv, max pooling
-and FC refer to arrays their forwards make anyway, so the network drops
-them in test mode. Every kernel takes and returns NCHW tensors. Inside,
-conv works on the zero-padded input laid out as an NHWC row grid, one
-row of C channels per position, where each kernel tap is one GEMM on a
-contiguous row slice. Its forward and its input gradient (the forward
-run backwards) share one loop over blocks of whole images of about
-CONV_BLOCK_ROWS grid rows, on one reused block-sized grid, accumulator
-and tap term, so a block's working set stays in cache; only the weight
-gradient pads the whole batch, once. Max pooling takes a running maximum
-over the k*k strided views of its input and keeps its output, against
-which backward routes; LRN runs one image at a time on reused (c, h, w)
-buffers. ``KINDS`` holds one row per kind: its token and options in
-architecture strings, and its ``realize``, which gives its validated
-config, output dims and parameter shapes for a given input.
+nothing, as only backward reads a cache, and write their output into
+their input's buffer (the same ufuncs in the same order, so the same
+bits), so a test-mode forward allocates no activation for them; the
+network hands them a copy when that input is its caller's batch. The
+caches of conv, max pooling and FC refer to arrays their forwards make
+anyway, so the network drops them in test mode. Every kernel takes and
+returns NCHW tensors. Inside, conv works on the zero-padded input laid
+out as an NHWC row grid, one row of C channels per position, where each
+kernel tap is one GEMM on a contiguous row slice. Its forward and its
+input gradient (the forward run backwards) share one loop over blocks of
+whole images of about CONV_BLOCK_ROWS grid rows, on one reused
+block-sized grid, accumulator and tap term, so a block's working set
+stays in cache; only the weight gradient pads the whole batch, once. Max
+pooling takes a running maximum over the k*k strided views of its input
+and keeps its output, against which backward routes; LRN runs one image
+at a time on reused (c, h, w) buffers. ``KINDS`` holds one row per kind:
+its token and options in architecture strings, and its ``realize``,
+which gives its validated config, output dims and parameter shapes for a
+given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -330,10 +334,12 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None
 
 def relu_forward(x: Tensor4, mode: Mode = Mode.TRAIN) -> tuple[Tensor4, np.ndarray | None]:
     """max(0, x), with +0 for -0 and for NaN; the train-mode cache is the
-    positive mask (gradient at exactly 0 is 0), test mode caches nothing."""
-    out = np.fmax(x.data, 0)  # fmax maps NaN to 0
+    positive mask (gradient at exactly 0 is 0). Test mode caches nothing
+    and writes the output into x's buffer."""
+    train = mode is Mode.TRAIN
+    out = np.fmax(x.data, 0, out=None if train else x.data)  # fmax maps NaN to 0
     out += 0  # -0 -> +0
-    return Tensor4(out), (x.data > 0 if mode is Mode.TRAIN else None)
+    return Tensor4(out), (x.data > 0 if train else None)
 
 
 def relu_backward(mask: np.ndarray, grad_out: Tensor4) -> Tensor4:
@@ -437,10 +443,13 @@ def lrn_forward(x: Tensor4, cfg: LrnConfig,
     """b[i] = a[i] / (k + alpha * sum_{j in window(i)} a[j]^2)^beta,
     window spanning n channels centered on i, clamped at the edges.
     Runs one image at a time on two reused (c, h, w) buffers; only train
-    mode caches the scale (the bracketed denominator) for backward."""
+    mode caches the scale (the bracketed denominator) for backward. Test
+    mode writes each image's output over that image of x once its squares
+    are summed."""
     a = x.data
-    out = np.empty_like(a)
-    scale = np.empty_like(a) if mode is Mode.TRAIN else None
+    train = mode is Mode.TRAIN
+    out = np.empty_like(a) if train else a
+    scale = np.empty_like(a) if train else None
     sq, acc = np.empty_like(a[0]), np.empty_like(a[0])
     for i in range(a.shape[0]):
         np.multiply(a[i], a[i], out=sq)
@@ -484,15 +493,14 @@ def lrn_backward(cache: LrnCache, grad_out: Tensor4) -> Tensor4:
 def dropout_apply(x: Tensor4, cfg: DropoutConfig, mode: Mode,
                   rng: np.random.Generator | None = None) -> tuple[Tensor4, np.ndarray | None]:
     """Train: zero each element independently with probability p (mask
-    records kept positions). Test: scale everything by (1 - p), no mask.
-    One uniform draw per element per training call."""
+    records kept positions). Test: scale everything by (1 - p) in x's
+    buffer, no mask. One uniform draw per element per training call."""
     if mode is Mode.TRAIN:
         if rng is None:
             raise ValueError("dropout in train mode needs an rng")
         mask = rng.random(size=x.dims) >= cfg.p
         return Tensor4(x.data * mask), mask
-    out = x.data * (1.0 - cfg.p)
-    return Tensor4(out.astype(x.data.dtype, copy=False)), None
+    return Tensor4(np.multiply(x.data, 1.0 - cfg.p, out=x.data)), None
 
 
 def dropout_backward(mask: np.ndarray, grad_out: Tensor4) -> Tensor4:

@@ -3,14 +3,17 @@
 glibc starts with a 128 KiB mmap threshold and, each time a block it
 mapped is freed, raises the threshold to that block's size (up to
 32 MiB) and its heap trim threshold to twice that. After the first
-freed 24 MiB array (an M4 activation at batch 256, or an FC weight),
-arrays up to that size come from the brk heap, and the heap gives
-memory back only when 48 MiB lie free above its last live block. Where
-numpy's small long-lived blocks land among those arrays then decided
-whether some 70 MB of freed heap stayed resident into the next
-evaluation, whose whole-batch activations are mapped apart from the
-heap: perfbench's eval_m4 peak RSS read about 210 or about 241 MB from
-run to run (2 vCPU x86-64, glibc 2.36, NumPy 2.4.6).
+freed 24 MiB array (an FC weight, or an M4 activation at 32x32 in
+float32 after the first pool of a 256-image forward), arrays up to that
+size come from the brk heap, and the heap gives memory back only when
+48 MiB lie free above its last live block. Where numpy's small
+long-lived blocks land among those arrays then decided whether some
+70 MB of freed heap stayed resident into the next evaluation, whose
+256-image activations were mapped apart from the heap: perfbench's
+eval_m4 peak RSS read about 210 or about 241 MB from run to run (2 vCPU
+x86-64, glibc 2.36, NumPy 2.4.6). ``trainer.evaluate`` now forwards
+64-image pieces, whose M4 activations at that size are 16 MiB before
+the first pool and 6 MiB after it, so they come from the heap too.
 
 ``pin_malloc_thresholds`` fixes the mmap threshold at 32 MiB, the level
 the dynamic rule climbs to anyway, so arrays below it keep reusing heap

@@ -94,6 +94,9 @@ DISPATCH = {
     "softmax": (lambda node, x, mode, rng: (x, ()), lambda cache, g, input_grad=True: (g, {})),
 }
 
+#: kinds whose test-mode forward writes its output into its input's buffer
+WRITES_INPUT_IN_TEST = frozenset({"relu", "lrn", "dropout"})
+
 
 class Network:
     """Ordered layers with parameters, freeze flags and cached activations."""
@@ -118,12 +121,16 @@ class Network:
                 rng: np.random.Generator | None = None) -> Tensor4:
         """Run the layers in order; returns logits. Train mode caches the
         per-layer state needed by backward; test mode drops every layer's
-        cache. Dropout only drops in train, with draws from ``rng``."""
+        cache. Dropout only drops in train, with draws from ``rng``.
+        ``batch`` is never written: a test-mode layer that writes into its
+        input gets a copy of it."""
         n, c, h, w = batch.dims
         if (c, h, w) != self.spec.input_dims:
             raise ShapeError(f"batch dims {(c, h, w)} != network input {self.spec.input_dims}")
         x = batch if batch.dtype == self.dtype else batch.astype(self.dtype)
         for node in self.nodes:
+            if x is batch and mode is not Mode.TRAIN and node.spec.kind in WRITES_INPUT_IN_TEST:
+                x = batch.copy()
             x, node.cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
             if mode is not Mode.TRAIN:
                 node.cache = None  # at once: a cache may refer to the layer's input
@@ -215,20 +222,44 @@ def reinitialize(net: Network, kinds: tuple[str, ...] = ("fc",),
     return net
 
 
+#: images per test-mode forward in ``evaluate``
+EVAL_PIECE = 64
+
+
 def evaluate(net: Network, samples: list[Sample | View], batch_size: int = 256) -> float:
     """Top-1 accuracy under test-mode forwards; argmax ties go to the
-    first (lowest) class index."""
+    first (lowest) class index. Raises NumericError when a forward
+    overflows or its logits are not finite.
+
+    The samples go in runs of ``batch_size``, and each run is stacked and
+    forwarded in pieces of EVAL_PIECE images, the last piece taking the
+    remainder, so a run under 2 * EVAL_PIECE stays whole. Activations
+    then stay those of EVAL_PIECE images whatever ``batch_size`` is. The
+    logits are those of one forward per run as long as the BLAS kernels
+    pick their blocking by row count only below EVAL_PIECE rows, which
+    ``tools/pinned_hashes.py`` checks on the presets and two small nets.
+    """
     if not samples:
         raise ValueError("cannot evaluate an empty split")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     correct = 0
     for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        x, y = stack_batch(chunk, net.dtype)
-        logits = net.forward(x, Mode.TEST)
-        pred = logits.data.reshape(len(chunk), -1).argmax(axis=1)
-        correct += int((pred == y).sum())
+        run = samples[start:start + batch_size]
+        pieces = max(1, len(run) // EVAL_PIECE)
+        for i in range(pieces):
+            piece = run[i * EVAL_PIECE:(i + 1) * EVAL_PIECE if i + 1 < pieces else None]
+            x, y = stack_batch(piece, net.dtype)
+            # weights that overflowed can give finite logits (a ReLU maps
+            # NaN to 0), so an overflow inside the forward counts too
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    logits = net.forward(x, Mode.TEST).data.reshape(len(piece), -1)
+                except FloatingPointError as e:
+                    raise NumericError(f"evaluation forward: {e}") from None
+            if not np.isfinite(logits).all():
+                raise NumericError("evaluation logits are not finite")
+            correct += int((logits.argmax(axis=1) == y).sum())
     return correct / len(samples)
 
 
@@ -373,13 +404,12 @@ def train(config: TrainConfig, dataset: Dataset, *,
         del grads  # not kept alive through the next forward and backward
 
         if it % config.eval_every == 0:
-            point = HistoryPoint(
-                iteration=it,
-                loss=float(np.mean(loss_window)),
-                train_acc=evaluate(net, train_eval),
-                val_acc=evaluate(net, val_samples),
-                alpha=lr,
-            )
+            try:
+                train_acc, val_acc = evaluate(net, train_eval), evaluate(net, val_samples)
+            except NumericError as e:
+                raise NumericError(f"{e} at iteration {it}") from None
+            point = HistoryPoint(iteration=it, loss=float(np.mean(loss_window)),
+                                 train_acc=train_acc, val_acc=val_acc, alpha=lr)
             history.points.append(point)
             metric = point.val_acc if config.scheduler.metric == "val_acc" else point.loss
             lr = sched.observe(metric, lr)

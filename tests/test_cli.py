@@ -468,6 +468,20 @@ class TestTrainEvalPredict:
         assert capsys.readouterr().err == "error: training loss is inf at iteration 1\n"
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    def test_overflowed_weights_exit_3_at_their_first_evaluation(
+            self, tmp_path, dataset_dir, capsys):
+        # step 1 drives the weights to about 1e300; its loss was still finite
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run",
+                           alpha=1e300, max_iterations=5, eval_every=1)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert err == ("error: evaluation forward: overflow encountered in matmul "
+                       "at iteration 1\n")
+        assert "iter=" not in out
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_predict_on_inflated_tensor_dims_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, build(archdsl.parse(TINY_ARCH, (3, 12, 12))))

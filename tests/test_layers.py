@@ -527,6 +527,16 @@ def test_lrn_matches_reference_bytes(dtype, batch, n, c, h, w, k, alpha, beta, s
     assert test_cache is None
 
 
+@pytest.mark.parametrize("kind", ["relu", "lrn", "dropout"])
+def test_only_test_mode_writes_into_the_input(kind):
+    net = build(parse("IMG-ReLU-LRN[n=3]-Dropout-FC2-Softmax", (3, 4, 4)))
+    node = next(node for node in net.nodes if node.spec.kind == kind)
+    for mode, shared in ((Mode.TRAIN, False), (Mode.TEST, True)):
+        x = Tensor4(np.random.default_rng(9).standard_normal((2, 3, 4, 4)))
+        out, _ = DISPATCH[kind][0](node, x, mode, np.random.default_rng(0))
+        assert np.shares_memory(out.data, x.data) == shared, mode
+
+
 def test_test_mode_adapters_cache_nothing():
     # the adapters that take the Mode; the network drops the other caches
     net = build(parse("IMG-ReLU-LRN[n=3]-Dropout-FC2-Softmax", (3, 4, 4)))

@@ -1,4 +1,8 @@
 import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,18 +21,30 @@ class _Mallinfo2(ctypes.Structure):
 
 def _mallinfo():
     libc = ctypes.CDLL(None)
-    if not hasattr(libc, "mallinfo2"):
-        pytest.skip("glibc before 2.33 has no mallinfo2")
     libc.mallinfo2.restype = _Mallinfo2
     return libc.mallinfo2()
+
+
+def _in_fresh_interpreter(check):
+    """Run ``check`` in a new interpreter: where an array lands in the heap
+    depends on what earlier tests in this process left there."""
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("glibc before 2.33 has no mallinfo2")
+    src = str(Path(microvoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__, check.__name__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pin_reports_success():
     assert memory.pin_malloc_thresholds()
 
 
-def test_mid_size_array_uses_heap_and_is_trimmed_when_freed():
-    # 16 MiB, like an M4 activation after the first pool at batch 256
+def _mid_size_array_uses_heap_and_is_trimmed_when_freed():
+    # 16 MiB, like an M4 activation after the first pool at 64 images in
+    # float32 (17 MiB before it)
     before = _mallinfo()
     a = np.ones(2 << 20)
     during = _mallinfo()
@@ -41,8 +57,20 @@ def test_mid_size_array_uses_heap_and_is_trimmed_when_freed():
     assert after.arena < before.arena + (1 << 20)
 
 
-def test_array_above_threshold_is_mapped():
+def _array_above_threshold_is_mapped():
     before = _mallinfo()
     a = np.ones(memory.MMAP_THRESHOLD // 8 + 1)
     assert _mallinfo().hblkhd >= before.hblkhd + memory.MMAP_THRESHOLD
     del a
+
+
+def test_mid_size_array_uses_heap_and_is_trimmed_when_freed():
+    _in_fresh_interpreter(_mid_size_array_uses_heap_and_is_trimmed_when_freed)
+
+
+def test_array_above_threshold_is_mapped():
+    _in_fresh_interpreter(_array_above_threshold_is_mapped)
+
+
+if __name__ == "__main__":
+    globals()[sys.argv[1]]()

@@ -17,6 +17,7 @@ from microvoc.layers import KINDS, Mode, softmax_cross_entropy
 from microvoc.optim import CHUNK, AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from microvoc.tensor import Tensor4
 from microvoc.trainer import (
+    Network,
     TrainConfig,
     build,
     evaluate,
@@ -111,6 +112,20 @@ class TestForward:
         assert all(node.cache is not None for node in net.nodes)
         net.forward(x, Mode.TEST)
         assert all(node.cache is None for node in net.nodes)
+
+    @pytest.mark.parametrize("arch", [
+        "IMG-ReLU-LRN[n=3]-Dropout-FC2-Softmax",
+        "IMG-LRN[n=3]-Dropout-ReLU-FC2-Softmax",
+        "IMG-Dropout-ReLU-LRN[n=3]-FC2-Softmax",
+    ])
+    def test_test_mode_never_writes_the_callers_batch(self, arch):
+        # these kinds write their test-mode output into their input
+        net = build(archdsl.parse(arch, (3, 4, 4)), seed=3)
+        x = random_batch(5, (3, 4, 4))
+        before = x.data.tobytes()
+        first = net.forward(x, Mode.TEST)
+        assert x.data.tobytes() == before
+        assert net.forward(x, Mode.TEST).data.tobytes() == first.data.tobytes()
 
     def test_test_mode_frees_each_layer_input_before_the_next_layer(self):
         # the conv's cache refers to its input, the first ReLU's output;
@@ -292,18 +307,31 @@ class TestTrainLoop:
             train(cfg, ds, net=net)
 
     # unchecked, the overflowing step trains on with losses 26.96, nan, nan,
-    # ... and the overflowing init with inf from the first step on
+    # ... and the overflowing init with inf from the first step on; no
+    # evaluation runs before the loss check stops them
     @pytest.mark.parametrize("overrides, iteration, value", [
         (dict(adam=AdamConfig(alpha=1e300)), 2, "nan"),
         (dict(init_conv=InitSpec("gaussian", 1e200)), 1, "inf"),
     ])
     def test_non_finite_loss_stops_training(self, overrides, iteration, value):
-        cfg = TrainConfig(arch=NAN_ARCH, max_iterations=10, eval_every=1, **overrides)
+        cfg = TrainConfig(arch=NAN_ARCH, max_iterations=10, eval_every=10, **overrides)
         state = AdamState()
         with np.errstate(all="ignore"), pytest.raises(
                 NumericError, match=f"training loss is {value} at iteration {iteration}$"):
             train(cfg, bar_dataset(40, 16, seed=8), adam_state=state)
         assert state.t == iteration - 1  # the step that reached it is not applied
+
+    def test_overflowed_weights_stop_the_evaluation_after_their_step(self):
+        # the first step drives the weights to about 1e300: the evaluation
+        # right after it overflows, one iteration before the loss is NaN
+        cfg = TrainConfig(arch=NAN_ARCH, max_iterations=10, eval_every=1,
+                          adam=AdamConfig(alpha=1e300))
+        state, events = AdamState(), []
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match="evaluation forward: overflow encountered in matmul "
+                                    "at iteration 1$"):
+            train(cfg, bar_dataset(40, 16, seed=8), adam_state=state, on_eval=events.append)
+        assert state.t == 1 and not events
 
 
 class TestEvaluate:
@@ -332,6 +360,41 @@ class TestEvaluate:
         net = small_net()
         with pytest.raises(ValueError):
             evaluate(net, [])
+
+    @pytest.mark.parametrize("n, batch_size, sizes", [
+        (320, 256, [64] * 5),
+        (200, 256, [64, 64, 72]),
+        (53, 256, [53]),
+        (127, 256, [127]),
+        (128, 256, [64, 64]),
+        (200, 32, [32] * 6 + [8]),
+    ])
+    def test_runs_are_forwarded_in_pieces(self, n, batch_size, sizes, monkeypatch):
+        # runs of batch_size in pieces of 64 images; the last piece takes
+        # the remainder, so a run under 128 images stays whole
+        net = build(archdsl.parse("IMG-FC2-Softmax", (3, 2, 2)), seed=0)
+        samples = [Sample(random_batch(1, (3, 2, 2), seed=i), i % 2, f"s{i}")
+                   for i in range(n)]
+        seen, forward = [], Network.forward
+
+        def recording(self, batch, *args):
+            seen.append(batch.dims[0])
+            return forward(self, batch, *args)
+
+        monkeypatch.setattr(Network, "forward", recording)
+        evaluate(net, samples, batch_size=batch_size)
+        assert seen == sizes
+
+    @pytest.mark.parametrize("param, value, message", [
+        ("b", np.nan, "evaluation logits are not finite"),
+        ("w", 1e308, "evaluation forward: overflow encountered in matmul"),
+    ], ids=["nan_bias", "overflowing_weights"])
+    def test_non_finite_values_raise(self, param, value, message):
+        net = build(archdsl.parse("IMG-FC2-Softmax", (3, 2, 2)), seed=0)
+        net.nodes[0].params[param].data[...] = value
+        samples = [Sample(Tensor4.new((1, 3, 2, 2), 1.0), 0, f"s{i}") for i in range(3)]
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{message}$"):
+            evaluate(net, samples)
 
     @pytest.mark.parametrize("batch_size", [0, -1, -256])
     def test_batch_size_below_one_rejected(self, batch_size):

@@ -24,6 +24,11 @@ each run, then loads each ``model.ckpt``, saves it again and prints
 value or a round trip changes a byte. The M3 run, float32 with Adam state
 and FC tensors of many chunks, checks the checkpoint decoder's casts.
 
+Then, for each net of ``LOGIT_NETS`` (freshly built), it checks that the
+logits of ``evaluate``'s 64-image pieces are byte-identical to those of
+one forward per 256-image run, on the first 53, 200, 320 and 512 samples
+of a bar dataset, and prints ``ok`` per net; it exits 1 on a mismatch.
+
 This is not a CI gate: GEMM results depend on the BLAS library and the
 CPU (its kernels pick their blocking and instructions by CPU), so the
 pinned values hold on the host they were measured on (x86-64, NumPy 2.4.6,
@@ -45,8 +50,11 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 from synthdata import bar_dataset, fourbar_dataset  # noqa: E402
 
 from microvoc import archdsl  # noqa: E402
+from microvoc.augment import stack_batch  # noqa: E402
+from microvoc.layers import Mode  # noqa: E402
 from microvoc.optim import AdamState, PlateauScheduler  # noqa: E402
-from microvoc.trainer import TrainConfig, load_checkpoint, save_checkpoint, train  # noqa: E402
+from microvoc.trainer import (Network, TrainConfig, build, evaluate,  # noqa: E402
+                              load_checkpoint, save_checkpoint, train)
 
 #: name -> (dataset, config, pinned history.csv sha256, pinned model.ckpt sha256)
 RUNS = {
@@ -72,6 +80,39 @@ RUNS = {
                "955d0a36df99c41270afdd136f1d1f77321d96c1b07d1181c34c61531e4b30cc",
                "cdc6777a2c3d14a50f95ce040d7b85493bc8a8cf555dadffad2f1bec7eaebba3"),
 }
+
+
+#: (name, arch, input size, dtype) of the nets whose evaluation logits are checked
+LOGIT_NETS = [(name, archdsl.resolve_arch(name), size, "float32")
+              for name in ("M3", "M4") for size in (32, 64)]
+LOGIT_NETS += [(name, RUNS[name][1].arch, 32, "float64") for name in ("c06", "c07aug")]
+LOGIT_COUNTS = (53, 200, 320, 512)
+#: evaluate's default batch, forwarded whole before it went in pieces
+EVAL_RUN = 256
+
+
+def piece_logits(net: Network, samples) -> bytes:
+    """The logits of the forwards ``evaluate`` makes, in sample order."""
+    got = []
+
+    def recording(batch, mode):
+        logits = Network.forward(net, batch, mode)
+        got.append(logits.data.tobytes())
+        return logits
+
+    net.forward = recording
+    try:
+        evaluate(net, samples, EVAL_RUN)
+    finally:
+        del net.forward
+    return b"".join(got)
+
+
+def run_logits(net: Network, samples) -> bytes:
+    """The logits of one forward per EVAL_RUN samples."""
+    return b"".join(net.forward(stack_batch(samples[i:i + EVAL_RUN], net.dtype)[0],
+                                Mode.TEST).data.tobytes()
+                    for i in range(0, len(samples), EVAL_RUN))
 
 
 def run_hashes(make_dataset, config: TrainConfig, out: Path) -> tuple[str, str]:
@@ -113,6 +154,15 @@ def main() -> int:
             ok = round_trips(config, out / "model.ckpt")
             bad += not ok
             print(f"{name} model.ckpt load+save {'ok' if ok else 'MISMATCH'}", flush=True)
+    for name, arch, size, dtype in LOGIT_NETS:
+        net = build(arch, seed=1, dtype=dtype, input_dims=(3, size, size))
+        samples = bar_dataset(max(LOGIT_COUNTS), size, seed=4).samples
+        wrong = [n for n in LOGIT_COUNTS
+                 if piece_logits(net, samples[:n]) != run_logits(net, samples[:n])]
+        bad += bool(wrong)
+        counts = ", ".join(map(str, LOGIT_COUNTS))
+        print(f"{name} {size}x{size} {dtype} logits in pieces, {counts} samples "
+              f"{'MISMATCH at ' + str(wrong) if wrong else 'ok'}", flush=True)
     return 1 if bad else 0
 
 
