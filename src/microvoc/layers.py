@@ -20,7 +20,10 @@ block-sized grid, accumulator and tap term, so a block's working set
 stays in cache; only the weight gradient pads the whole batch, once. Max
 pooling takes a running maximum over the k*k strided views of its input
 and keeps its output, against which backward routes; LRN runs one image
-at a time on reused (c, h, w) buffers. ``KINDS`` holds one row per kind:
+at a time on reused (c, h, w) buffers. FC backward computes its input
+gradient first and, given a sink in its cache, hands the sink its weight
+gradient in blocks of FC_BLOCK_ROWS output rows instead of returning it,
+so the whole gradient never exists. ``KINDS`` holds one row per kind:
 its token and options in architecture strings, and its ``realize``,
 which gives its validated config, output dims and parameter shapes for a
 given input.
@@ -515,10 +518,17 @@ def dropout_backward(mask: np.ndarray, grad_out: Tensor4) -> Tensor4:
 # ---------------------------------------------------------------------------
 # fully connected
 
+#: output rows per block of the weight gradient that ``fc_backward`` hands
+#: its sink; the last block takes the remainder, so a layer with fewer than
+#: 2 * FC_BLOCK_ROWS outputs is one block, the whole GEMM
+FC_BLOCK_ROWS = 64
+
+
 class FcCache(NamedTuple):
     x_flat: np.ndarray
     x_dims: tuple
     weights: np.ndarray
+    sink: Callable | None = None  # takes the weight gradient's row blocks; see fc_backward
 
 
 def fc_forward(x: Tensor4, weights: Tensor4, bias: Tensor4) -> tuple[Tensor4, FcCache]:
@@ -540,18 +550,32 @@ def fc_forward(x: Tensor4, weights: Tensor4, bias: Tensor4) -> tuple[Tensor4, Fc
 
 
 def fc_backward(cache: FcCache, grad_out: Tensor4) -> tuple[Tensor4, dict]:
-    """Return (grad_input, {"w": grad_weights, "b": grad_bias})."""
+    """Return (grad_input, {"w": grad_weights, "b": grad_bias}).
+
+    With ``cache.sink`` set, the weight gradient goes to the sink instead,
+    as ``sink(lo, rows)`` for blocks of FC_BLOCK_ROWS output rows starting
+    at row ``lo`` (each (rows, in)), and the dict holds only "b": the
+    whole weight gradient never exists. The input gradient is computed
+    first, from the weights the sink may then update (the cached weights
+    are a view of them)."""
     if cache is None:
         raise StateError("fc backward called without cached forward state")
-    x_flat, x_dims, wd = cache
+    x_flat, x_dims, wd, sink = cache
     n, out_size = x_flat.shape[0], wd.shape[0]
     if grad_out.dims != (n, out_size, 1, 1):
         raise ShapeError(f"grad_out dims {grad_out.dims}, expected ({n}, {out_size}, 1, 1)")
     go = grad_out.data.reshape(n, out_size)
-    grad_w = (go.T @ x_flat).reshape(out_size, x_flat.shape[1], 1, 1)
     grad_b = go.sum(axis=0).reshape(1, out_size, 1, 1)
     gx = (go @ wd).reshape(x_dims)
-    return Tensor4(gx), {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}
+    if sink is None:
+        grad_w = (go.T @ x_flat).reshape(out_size, x_flat.shape[1], 1, 1)
+        return Tensor4(gx), {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}
+    blocks = max(1, out_size // FC_BLOCK_ROWS)
+    for i in range(blocks):
+        lo = i * FC_BLOCK_ROWS
+        hi = lo + FC_BLOCK_ROWS if i + 1 < blocks else out_size
+        sink(lo, go[:, lo:hi].T @ x_flat)
+    return Tensor4(gx), {"b": Tensor4(grad_b)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,25 @@ with t incremented once per step before computing alpha_t.
 
 ``chunks`` walks a tensor's flat C-contiguous view in pieces of ``CHUNK``
 elements, staging each through one reused buffer when another dtype is
-wanted; ``adam_step``, the gradient half of ``apply_l2`` and checkpoint
-I/O all use it, so none builds a full-size temporary. Adam and L2 run
-each piece in place, with ``out=`` into chunk-sized scratch buffers,
-using the whole-array formula's ufuncs in the same order, with the same
-operand dtypes and casts. Every one of those ops is elementwise and
-correctly rounded, so an element's result does not depend on which piece
-it falls in: parameters, moments and gradients are bit-identical to the
-whole-array evaluation. The L2 penalty stays one whole-tensor ``np.dot``,
+wanted; ``adam_step``, the gradient half of ``apply_l2``,
+``StreamedStep`` and checkpoint I/O all use it, so none builds a
+full-size temporary. Adam and L2 run each piece in place, with ``out=``
+into chunk-sized scratch buffers, using the whole-array formula's ufuncs
+in the same order, with the same operand dtypes and casts; the piece's
+L2 term is ``_l2_piece``, and its Adam update is written once, in
+``StreamedStep``, which ``adam_step`` runs on whole gradients. Every
+one of those ops is elementwise and correctly rounded, so an element's
+result does not depend on which piece it falls in: parameters, moments
+and gradients are bit-identical to the whole-array evaluation, and so
+are those of a ``StreamedStep``, which takes a gradient in blocks of
+rows. The L2 penalty (``l2_penalty``) stays one whole-tensor ``np.dot``,
 because splitting a reduction would change its rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,43 +112,68 @@ def _check_inplace(key: str, *arrays: np.ndarray) -> None:
                              "writable and C-contiguous")
 
 
-def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
-              state: AdamState, cfg: AdamConfig) -> None:
-    """One Adam step over every tensor in ``params``, in place.
+def _l2_piece(g, w, coef: float, term) -> None:
+    """The L2 gradient term of one piece: ``g += coef * w``, with ``term``
+    scratch of ``w``'s dtype. 2*lam*w has w's dtype, and so has g in every
+    caller: the piece's sum is the whole-array g += 2*lam*w without a cast."""
+    np.multiply(coef, w, out=term)
+    g += term
 
-    Moments are kept in float64 regardless of parameter precision so the
-    update arithmetic is identical between precisions. Every check runs
-    before anything is written, so a rejected step leaves the
-    parameters, the moments and ``state.t`` as they were.
+
+def _regularized(key: str, include_biases: bool) -> bool:
+    """Whether L2 applies to the tensor ``key``: bias tensors (keys ending
+    in '.b') only with ``include_biases``."""
+    return include_biases or not key.endswith(".b")
+
+
+class StreamedStep:
+    """The Adam update of the next step (``state.t + 1``), with the L2 term
+    of strength ``cfg.lam`` (none at 0) before it, for gradients handed
+    over a block of rows at a time, so that a whole gradient need never
+    exist: ``step(key, row, g)`` takes the gradient of rows ``row,
+    row + 1, ...`` of ``params[key]``, adds the L2 term to it in place
+    when L2 applies to the tensor, and updates those rows of the tensor
+    and its moments, piece by piece with ``apply_l2``'s and Adam's ops,
+    so with their bits. It does not count the step.
+
+    Making one runs every check of ``adam_step`` that needs no gradient
+    (the step counter has room, and each tensor and its moments have the
+    same dims and can be written in place), then gives each tensor
+    without moments zero moments.
     """
-    if state.t >= MAX_STEPS:
-        raise StateError("Adam step counter exhausted")
-    missing = set(params) - set(grads)
-    if missing:
-        raise ShapeError(f"no gradient supplied for params {sorted(missing)}")
-    for key, p in params.items():
-        g = grads[key]
-        if g.dims != p.dims:
-            raise ShapeError(f"grad dims {g.dims} != param dims {p.dims} for {key!r}")
-        moments = (state.m[key].data, state.v[key].data) if key in state.m else ()
-        for arr in moments:
-            if arr.shape != p.dims:
-                raise ShapeError(f"state dims {arr.shape} != param dims {p.dims} for {key!r}")
-        _check_inplace(key, p.data, *moments)
 
-    state.t += 1
-    t = state.t
-    alpha_t = cfg.alpha * math.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    n = min(CHUNK, max((p.data.size for p in params.values()), default=0))
-    scaled, denom = np.empty(n), np.empty(n)
-    for key, p in params.items():
-        if key not in state.m:
-            state.add_zero_moments(key, p.dims)
-        w, m, v = (a.reshape(-1) for a in (p.data, state.m[key].data, state.v[key].data))
-        for lo, g, gd in chunks(grads[key].data):
-            np.copyto(gd, g)  # returns at once when gd is g
-            hi = lo + gd.size
+    def __init__(self, params: dict[str, Tensor4], state: AdamState, cfg: AdamConfig,
+                 include_biases: bool = False):
+        if state.t >= MAX_STEPS:
+            raise StateError("Adam step counter exhausted")
+        for key, p in params.items():
+            moments = (state.m[key].data, state.v[key].data) if key in state.m else ()
+            for arr in moments:
+                if arr.shape != p.dims:
+                    raise ShapeError(f"state dims {arr.shape} != param dims {p.dims} "
+                                     f"for {key!r}")
+            _check_inplace(key, p.data, *moments)
+        for key, p in params.items():
+            if key not in state.m:
+                state.add_zero_moments(key, p.dims)
+        self.params, self.state, self.cfg = params, state, cfg
+        self.include_biases = include_biases
+        t = state.t + 1
+        self.alpha_t = cfg.alpha * math.sqrt(1.0 - cfg.beta2**t) / (1.0 - cfg.beta1**t)
+
+    def __call__(self, key: str, row: int, g: np.ndarray) -> None:
+        rows = slice(row, row + g.shape[0])
+        w, m, v = (a.data[rows].reshape(-1)
+                   for a in (self.params[key], self.state.m[key], self.state.v[key]))
+        lam = self.cfg.lam if _regularized(key, self.include_biases) else 0.0
+        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.epsilon
+        n = min(CHUNK, w.size)
+        term, scaled, denom = np.empty(n, dtype=w.dtype), np.empty(n), np.empty(n)
+        for lo, gc, gd in chunks(g):
+            hi = lo + gc.size
+            if lam:
+                _l2_piece(gc, w[lo:hi], 2.0 * lam, term[:gc.size])
+            np.copyto(gd, gc)  # returns at once when gd is gc
             mc, vc, u, d = m[lo:hi], v[lo:hi], scaled[:gd.size], denom[:gd.size]
             mc *= b1
             np.multiply(1.0 - b1, gd, out=u)
@@ -153,7 +182,7 @@ def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
             np.multiply(gd, gd, out=u)
             np.multiply(1.0 - b2, u, out=u)
             vc += u
-            np.multiply(alpha_t, mc, out=u)
+            np.multiply(self.alpha_t, mc, out=u)
             np.sqrt(vc, out=d)
             np.add(d, eps, out=d)
             np.divide(u, d, out=u)
@@ -161,39 +190,64 @@ def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
             w[lo:hi] -= u.astype(w.dtype, copy=False)
 
 
-def apply_l2(params: dict[str, Tensor4], grads: dict[str, Tensor4], lam: float,
-             include_biases: bool = False) -> float:
-    """Add 2*lam*W to each weight gradient in place and return the loss
-    penalty lam * sum ||W||^2.
+def adam_step(params: dict[str, Tensor4], grads: dict[str, Tensor4],
+              state: AdamState, cfg: AdamConfig) -> None:
+    """One Adam step over every tensor in ``params``, in place: each
+    gradient goes whole through a ``StreamedStep`` without L2 (that is
+    ``apply_l2``'s job), and then the step is counted.
 
-    Bias tensors (keys ending in '.b') are skipped unless
-    ``include_biases`` is set.
+    Moments are kept in float64 regardless of parameter precision so the
+    update arithmetic is identical between precisions. Every check runs
+    before anything is written, so a rejected step leaves the
+    parameters, the moments and ``state.t`` as they were.
     """
+    missing = set(params) - set(grads)
+    if missing:
+        raise ShapeError(f"no gradient supplied for params {sorted(missing)}")
+    for key, p in params.items():
+        if grads[key].dims != p.dims:
+            raise ShapeError(f"grad dims {grads[key].dims} != param dims {p.dims} for {key!r}")
+    step = StreamedStep(params, state, replace(cfg, lam=0.0))
+    for key in params:
+        step(key, 0, grads[key].data)
+    state.t += 1
+
+
+def l2_penalty(params: dict[str, Tensor4], lam: float, include_biases: bool = False) -> float:
+    """The loss penalty lam * sum ||W||^2 over the tensors L2 applies to,
+    one whole-tensor ``np.dot`` each, summed in ``params``' order. Bias
+    tensors (keys ending in '.b') count only with ``include_biases``."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if lam == 0.0:
-        return 0.0
-    coef = 2.0 * lam
     penalty = 0.0
+    if lam == 0.0:
+        return penalty
     for key, p in params.items():
-        if not include_biases and key.endswith(".b"):
+        if _regularized(key, include_biases):
+            w = p.data.ravel()
+            penalty += lam * float(np.dot(w, w))
+    return penalty
+
+
+def apply_l2(params: dict[str, Tensor4], grads: dict[str, Tensor4], lam: float,
+             include_biases: bool = False) -> float:
+    """Add 2*lam*W to the gradient of each tensor of ``params`` that L2
+    applies to and ``grads`` holds, in place, and return
+    ``l2_penalty(params, lam, include_biases)``."""
+    penalty = l2_penalty(params, lam, include_biases)
+    if lam == 0.0:
+        return penalty
+    for key, p in params.items():
+        if key not in grads or not _regularized(key, include_biases):
             continue
-        w = p.data
-        penalty += lam * float(np.dot(w.ravel(), w.ravel()))
-        if key not in grads:
-            continue
-        g = grads[key].data
+        w, g = p.data, grads[key].data
         if g.shape != w.shape:
             raise ShapeError(f"grad dims {g.shape} != param dims {w.shape} for {key!r}")
         _check_inplace(key, g)
         w = w.reshape(-1)
-        # 2*lam*w has w's dtype, and so has g in every caller: the piece's
-        # sum is the whole-array g += 2*lam*w without a cast
         term = np.empty(min(CHUNK, w.size), dtype=w.dtype)
         for lo, gc, _ in chunks(g, g.dtype):
-            t = term[:gc.size]
-            np.multiply(coef, w[lo:lo + gc.size], out=t)
-            gc += t
+            _l2_piece(gc, w[lo:lo + gc.size], 2.0 * lam, term[:gc.size])
     return penalty
 
 

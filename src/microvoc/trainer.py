@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
 import struct
@@ -43,8 +44,8 @@ from .layers import (
     relu_forward,
     softmax_cross_entropy,
 )
-from .optim import (AdamConfig, AdamState, PlateauScheduler, SchedulerConfig, adam_step,
-                    apply_l2, chunks)
+from .optim import (AdamConfig, AdamState, PlateauScheduler, SchedulerConfig, StreamedStep,
+                    adam_step, apply_l2, chunks, l2_penalty)
 from .tensor import Tensor4
 
 # seed-stream tags: keep init, shuffling and dropout streams independent
@@ -62,36 +63,47 @@ class LayerNode:
     cache: object = None
 
 
-def _conv_backward(cache, g, input_grad=True):
+def _conv_backward(cache, g, input_grad=True, sink=None):
     if cache is not None and not input_grad:
         cache = cache._replace(input_grad=False)
     return conv2d_backward(cache, g)
 
 
+def _fc_backward(cache, g, input_grad=True, sink=None):
+    if cache is not None and sink is not None:
+        cache = cache._replace(sink=sink)
+    return fc_backward(cache, g)
+
+
 #: kind -> (forward(node, x, mode, rng) -> (output, cache),
-#:          backward(cache, grad_out, input_grad=True) -> (grad_input, {param name: grad})).
+#:          backward(cache, grad_out, input_grad=True, sink=None)
+#:          -> (grad_input, {param name: grad})).
 #: ``Network.forward`` drops the cache of a test-mode forward. Backward may
 #: skip grad_input (and return None for it) when ``input_grad`` is False;
-#: only conv does. The adapters look the kernels up by their names in this
-#: module at call time, so a wrapper installed on ``trainer.<kernel>`` sees
-#: every call; they call each kernel with its own arguments only, so the
-#: mode and the input-gradient switch of conv do not reach its argument list.
+#: only conv does. When ``sink`` is not None, backward may hand it the
+#: weight gradient "w" in blocks of rows, as ``sink(first row, rows)``,
+#: instead of returning it; only fc does. The adapters look the kernels up
+#: by their names in this module at call time, so a wrapper installed on
+#: ``trainer.<kernel>`` sees every call; they call each kernel with its own
+#: arguments only, so the mode, the input-gradient switch of conv and the
+#: sink of fc (both go into the cache) do not reach its argument list.
 DISPATCH = {
     "conv": (lambda node, x, mode, rng: conv2d_forward(
                  x, node.params["w"], node.params["b"], node.cfg), _conv_backward),
     "relu": (lambda node, x, mode, rng: relu_forward(x, mode),
-             lambda cache, g, input_grad=True: (relu_backward(cache, g), {})),
+             lambda cache, g, input_grad=True, sink=None: (relu_backward(cache, g), {})),
     "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
-                lambda cache, g, input_grad=True: (maxpool_backward(cache, g), {})),
+                lambda cache, g, input_grad=True, sink=None: (maxpool_backward(cache, g), {})),
     "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg, mode),
-            lambda cache, g, input_grad=True: (lrn_backward(cache, g), {})),
+            lambda cache, g, input_grad=True, sink=None: (lrn_backward(cache, g), {})),
     "dropout": (lambda node, x, mode, rng: dropout_apply(x, node.cfg, mode, rng),
-                lambda cache, g, input_grad=True: (dropout_backward(cache, g), {})),
+                lambda cache, g, input_grad=True, sink=None: (dropout_backward(cache, g), {})),
     "fc": (lambda node, x, mode, rng: fc_forward(x, node.params["w"], node.params["b"]),
-           lambda cache, g, input_grad=True: fc_backward(cache, g)),
+           _fc_backward),
     # a marker: the loss applies the softmax, and its gradient is already
     # with respect to the logits
-    "softmax": (lambda node, x, mode, rng: (x, ()), lambda cache, g, input_grad=True: (g, {})),
+    "softmax": (lambda node, x, mode, rng: (x, ()),
+                lambda cache, g, input_grad=True, sink=None: (g, {})),
 }
 
 #: kinds whose test-mode forward writes its output into its input's buffer
@@ -136,19 +148,26 @@ class Network:
                 node.cache = None  # at once: a cache may refer to the layer's input
         return x
 
-    def backward(self, grad_logits: Tensor4, input_grad: bool = False) -> dict[str, Tensor4]:
+    def backward(self, grad_logits: Tensor4, input_grad: bool = False,
+                 sink=None) -> dict[str, Tensor4]:
         """Chain layer backwards in reverse order; returns parameter
         gradients keyed like param_dict. Consumes the cached forward.
         The gradient with respect to the network's input is kept in
         ``_grad_input`` only when ``input_grad`` is set; otherwise the
-        first layer may skip computing it and ``_grad_input`` is None."""
+        first layer may skip computing it and ``_grad_input`` is None.
+
+        With a ``sink``, each unfrozen FC layer hands it its weight
+        gradient in blocks of rows, as ``sink(key, first row, rows)``, and
+        the returned dict has no key for it; frozen layers return theirs."""
         grads: dict[str, Tensor4] = {}
         g = grad_logits
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]
             if node.cache is None:
                 raise StateError(f"layer {i} ({node.spec.kind}) has no cached forward state")
-            g, node_grads = DISPATCH[node.spec.kind][1](node.cache, g, input_grad or i > 0)
+            node_sink = None if sink is None or node.frozen else functools.partial(sink, f"{i}.w")
+            g, node_grads = DISPATCH[node.spec.kind][1](node.cache, g, input_grad or i > 0,
+                                                        node_sink)
             for name, gt in node_grads.items():
                 grads[f"{i}.{name}"] = gt
             node.cache = None
@@ -333,6 +352,42 @@ def _epoch_perm(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, _STREAM_SHUFFLE, epoch]).permutation(n)
 
 
+def train_step(net: Network, x: Tensor4, labels, state: AdamState, cfg: AdamConfig, *,
+               include_biases: bool = False,
+               rng: np.random.Generator | None = None) -> float:
+    """One training step on the batch ``x``: forward in train mode (Dropout
+    draws from ``rng``), cross-entropy, L2, backward, and Adam on the
+    unfrozen parameters. Returns the loss, cross-entropy plus the L2
+    penalty. Overflow and invalid values raise no warning; a loss that is
+    not finite raises ``NumericError``.
+
+    The penalty (taken before any update), the loss check and every check
+    of ``adam_step`` run before backward starts, so a step they reject
+    changes nothing. Backward then hands each unfrozen FC layer's weight
+    gradient, FC_BLOCK_ROWS rows at a time, to a ``StreamedStep``, which
+    adds the L2 term and makes the Adam update of those rows, so the whole
+    gradient never exists. The other gradients come back whole and go
+    through ``apply_l2`` and ``adam_step``, which counts the step. The
+    bytes are those of backward without a sink followed by ``apply_l2``
+    and ``adam_step`` over every gradient, as long as the BLAS gives a
+    block of rows of the weight-gradient GEMM the bits of the whole one
+    (``tools/pinned_hashes.py`` checks that on M3, M4 and c06).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = net.forward(x, Mode.TRAIN, rng)
+        data_loss, _, grad_logits = softmax_cross_entropy(logits, labels)
+        loss = data_loss + l2_penalty(net.param_dict(), cfg.lam, include_biases)
+        if not math.isfinite(loss):
+            raise NumericError(f"training loss is {loss}")
+        params = net.param_dict(trainable_only=True)
+        step = StreamedStep(params, state, cfg, include_biases)
+        grads = net.backward(grad_logits, sink=step)
+        whole = {key: p for key, p in params.items() if key in grads}
+        apply_l2(whole, grads, cfg.lam, include_biases)  # the loss already has the penalty
+        adam_step(whole, grads, state, cfg)
+    return loss
+
+
 def train(config: TrainConfig, dataset: Dataset, *,
           net: Network | None = None,
           adam_state: AdamState | None = None,
@@ -340,9 +395,9 @@ def train(config: TrainConfig, dataset: Dataset, *,
           alpha: float | None = None,
           scheduler: PlateauScheduler | None = None,
           on_eval=None) -> tuple[Network, TrainHistory]:
-    """Minibatch training: forward, cross-entropy, L2, backward, Adam on
-    unfrozen parameters. Every ``eval_every`` iterations the metrics are
-    recorded and the configured metric is fed to the plateau scheduler.
+    """Minibatch training, one ``train_step`` per batch. Every
+    ``eval_every`` iterations the metrics are recorded and the configured
+    metric is fed to the plateau scheduler.
 
     Pass ``net``/``adam_state``/``start_iteration`` to resume or to
     fine-tune an existing network. ``on_eval`` is called with an
@@ -390,18 +445,12 @@ def train(config: TrainConfig, dataset: Dataset, *,
         x, y = stack_batch([train_samples[i] for i in idx], dtype)
 
         it_rng = np.random.default_rng([config.seed, _STREAM_DROPOUT, it])
-        logits = net.forward(x, Mode.TRAIN, it_rng)
-        data_loss, _, grad_logits = softmax_cross_entropy(logits, y)
-        grads = net.backward(grad_logits)
-        penalty = apply_l2(net.param_dict(), grads, config.adam.lam,
-                           include_biases=config.l2_include_biases)
-        loss = data_loss + penalty
-        if not math.isfinite(loss):
-            raise NumericError(f"training loss is {loss} at iteration {it}")
+        try:
+            loss = train_step(net, x, y, state, replace(config.adam, alpha=lr),
+                              include_biases=config.l2_include_biases, rng=it_rng)
+        except NumericError as e:
+            raise NumericError(f"{e} at iteration {it}") from None
         loss_window.append(loss)
-        adam_step(net.param_dict(trainable_only=True), grads, state,
-                  replace(config.adam, alpha=lr))
-        del grads  # not kept alive through the next forward and backward
 
         if it % config.eval_every == 0:
             try:

@@ -1,5 +1,6 @@
-"""Synthetic image tasks shared by the trainer and acceptance tests, and
-a binary PPM writer for tests that ingest image files.
+"""Synthetic image tasks shared by the trainer and acceptance tests, a
+binary PPM writer for tests that ingest image files, and the
+whole-gradient training step that ``trainer.train_step`` must match.
 
 Bar images: 3-channel squares with a bright horizontal or vertical bar
 at a random position over Gaussian background noise. Orientation is the
@@ -14,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from microvoc.augment import Dataset, Sample, mean_subtract, split_60_40
+from microvoc.layers import Mode, softmax_cross_entropy
+from microvoc.optim import adam_step, apply_l2
 from microvoc.tensor import Tensor4
 
 
@@ -75,3 +78,15 @@ def encode_ppm(image: np.ndarray) -> bytes:
 
 def write_ppm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(encode_ppm(image))
+
+
+def whole_gradient_step(net, x, labels, state, cfg, *, include_biases=False, rng=None):
+    """``trainer.train_step`` without streaming: backward returns every
+    gradient whole, then ``apply_l2`` over all parameters and
+    ``adam_step`` over the unfrozen ones. Returns the loss."""
+    logits = net.forward(x, Mode.TRAIN, rng)
+    data_loss, _, grad_logits = softmax_cross_entropy(logits, labels)
+    grads = net.backward(grad_logits)
+    penalty = apply_l2(net.param_dict(), grads, cfg.lam, include_biases)
+    adam_step(net.param_dict(trainable_only=True), grads, state, cfg)
+    return data_loss + penalty

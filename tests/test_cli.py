@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 
 from synthdata import write_ppm
 
+import microvoc
 from microvoc import archdsl
 from microvoc.cli import RunConfig, main, parse_run_config, to_train_config
 from microvoc.dataio import MANIFEST_HEADER
@@ -481,6 +485,28 @@ class TestTrainEvalPredict:
                        "at iteration 1\n")
         assert "iter=" not in out
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(init_conv="gaussian:1e200", eval_every=1), "training loss is inf at iteration 1"),
+        (dict(init_conv="gaussian:1e200", eval_every=10), "training loss is inf at iteration 1"),
+        (dict(alpha=1e300, eval_every=1),
+         "evaluation forward: overflow encountered in matmul at iteration 1"),
+        (dict(alpha=1e300, eval_every=10), "training loss is nan at iteration 2"),
+    ])
+    def test_diverging_run_prints_one_stderr_line(self, tmp_path, dataset_dir, overrides,
+                                                  message):
+        # a new interpreter, where NumPy's floating-point warnings would
+        # reach stderr as they do for a user
+        _, manifest = dataset_dir
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run", max_iterations=5,
+                           **overrides)
+        src = str(Path(microvoc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "microvoc.cli", "train", "--config",
+                               str(cfg)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {message}\n"
 
     def test_predict_on_inflated_tensor_dims_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "net.ckpt"

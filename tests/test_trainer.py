@@ -1,20 +1,22 @@
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthdata import bar_dataset
+from synthdata import bar_dataset, whole_gradient_step
 
-from microvoc import archdsl
+from microvoc import archdsl, trainer
 from microvoc.augment import Sample
 from microvoc.errors import CheckpointError, NumericError, StateError, VersionError
 from microvoc.initializers import InitSpec
 from microvoc.layers import KINDS, Mode, softmax_cross_entropy
-from microvoc.optim import CHUNK, AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
+from microvoc.optim import (CHUNK, MAX_STEPS, AdamConfig, AdamState, PlateauScheduler,
+                            SchedulerConfig)
 from microvoc.tensor import Tensor4
 from microvoc.trainer import (
     Network,
@@ -26,6 +28,7 @@ from microvoc.trainer import (
     reinitialize,
     save_checkpoint,
     train,
+    train_step,
 )
 
 SMALL_ARCH = "IMG-(Conv4-ReLU-MaxPool)-(FC16-ReLU-FC4)-Softmax"
@@ -332,6 +335,109 @@ class TestTrainLoop:
                                     "at iteration 1$"):
             train(cfg, bar_dataset(40, 16, seed=8), adam_state=state, on_eval=events.append)
         assert state.t == 1 and not events
+
+
+#: every FC layer has fewer than 128 outputs, so each is one block: the
+#: streamed step's GEMMs are the whole-gradient step's on any BLAS
+STREAM_ARCH = "IMG-(Conv4-ReLU-MaxPool)-(FC16-ReLU-Dropout-FC4)-Softmax"
+
+
+def state_bytes(net, state):
+    arrays = [(f"param {k}", p.data) for k, p in net.param_dict().items()]
+    arrays += [(f"{name} {k}", t.data) for name, moments in (("m", state.m), ("v", state.v))
+               for k, t in sorted(moments.items())]
+    return state.t, {name: a.tobytes() for name, a in arrays}
+
+
+class TestStreamedStep:
+    def run(self, step, monkeypatch, tmp_path, dtype, frozen_fc, **overrides):
+        """Three iterations, a checkpoint with Adam state, then three more
+        from the loaded checkpoint, each through ``step``. Returns the loss
+        rows, the final bytes and the FC weight gradients that backward
+        streamed instead of returning."""
+        monkeypatch.setattr(trainer, "train_step", step)
+        streamed = set()
+        backward = Network.backward
+
+        def spy(net, *args, **kwargs):
+            grads = backward(net, *args, **kwargs)
+            streamed.update({"3.w", "6.w"} - set(grads))
+            return grads
+
+        monkeypatch.setattr(Network, "backward", spy)
+        ds = bar_dataset(20, 16, seed=2)
+        net = build(archdsl.parse(STREAM_ARCH, (3, 16, 16)), seed=3, dtype=dtype)
+        freeze(net, lambda i, ls: frozen_fc and i == 3)
+        first = TrainConfig(arch=STREAM_ARCH, max_iterations=3, eval_every=1, seed=3,
+                            dtype=dtype, **overrides)
+        state = AdamState()
+        net, h1 = train(first, ds, net=net, adam_state=state)
+        save_checkpoint(tmp_path / "s.ckpt", net, state, iteration=3)
+        ck = load_checkpoint(tmp_path / "s.ckpt")
+        net, h2 = train(replace(first, max_iterations=6), ds, net=ck.net,
+                        adam_state=ck.adam_state, start_iteration=3)
+        losses = [np.float64(p.loss).tobytes() for p in h1.points + h2.points]
+        return losses, state_bytes(net, ck.adam_state), sorted(streamed)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(adam=AdamConfig(lam=0.0)), dict(l2_include_biases=True)],
+        ids=["l2", "lam0", "l2-biases"])
+    @pytest.mark.parametrize("frozen_fc", [False, True], ids=["", "frozen-fc"])
+    def test_same_bytes_as_the_whole_gradient(self, monkeypatch, tmp_path, dtype, overrides,
+                                             frozen_fc):
+        losses, final, streamed = self.run(train_step, monkeypatch, tmp_path, dtype,
+                                           frozen_fc, **overrides)
+        ref_losses, ref_final, ref_streamed = self.run(whole_gradient_step, monkeypatch,
+                                                       tmp_path, dtype, frozen_fc, **overrides)
+        assert losses == ref_losses
+        assert final == ref_final
+        assert final[0] == 6
+        assert not ref_streamed
+        assert streamed == (["6.w"] if frozen_fc else ["3.w", "6.w"])
+        if frozen_fc:
+            start = build(archdsl.parse(STREAM_ARCH, (3, 16, 16)), seed=3, dtype=dtype)
+            for name in ("w", "b"):
+                assert (final[1][f"param 3.{name}"]
+                        == start.nodes[3].params[name].data.tobytes())
+
+    @pytest.mark.parametrize("fault", ["step counter", "read-only fc weight"])
+    @pytest.mark.parametrize("moments", [True, False], ids=["moments", "no-moments"])
+    def test_rejected_step_changes_nothing(self, monkeypatch, fault, moments):
+        net = build(archdsl.parse(STREAM_ARCH, (3, 16, 16)), seed=3)
+        state = AdamState.for_params(net.param_dict()) if moments else AdamState()
+        if fault == "step counter":
+            state.t = MAX_STEPS
+        else:
+            state.t = 5
+            net.nodes[3].params["w"].data.flags.writeable = False
+        before = state_bytes(net, state)
+        backward_calls = []
+        monkeypatch.setattr(Network, "backward",
+                            lambda *args, **kwargs: backward_calls.append(args))
+        cfg = TrainConfig(arch=STREAM_ARCH, max_iterations=3, eval_every=1, seed=3)
+        with pytest.raises(StateError):
+            train(cfg, bar_dataset(20, 16, seed=2), net=net, adam_state=state)
+        assert not backward_calls
+        assert state_bytes(net, state) == before
+
+    def test_fc_weight_gradient_never_exists_whole(self):
+        # M3 at 32x32: FC1's weight gradient is 1024 x 16384 float32, 64 MiB
+        ds = bar_dataset(53, 32, seed=1)
+        net = build(archdsl.resolve_arch("M3"), seed=1, dtype=np.float32,
+                    input_dims=(3, 32, 32))
+        state = AdamState.for_params(net.param_dict())
+        cfg = TrainConfig(arch=archdsl.resolve_arch("M3"), dtype="float32", max_iterations=1,
+                          eval_every=2, seed=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(cfg, ds, net=net, adam_state=state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.t == 1
+        assert peak - start < 100 * 2**20
 
 
 class TestEvaluate:

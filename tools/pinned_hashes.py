@@ -29,6 +29,14 @@ logits of ``evaluate``'s 64-image pieces are byte-identical to those of
 one forward per 256-image run, on the first 53, 200, 320 and 512 samples
 of a bar dataset, and prints ``ok`` per net; it exits 1 on a mismatch.
 
+Last, for each net of ``STEP_NETS`` (freshly built, fresh Adam state), it
+takes one ``train_step``, which streams each FC weight gradient into L2
+and Adam in blocks of rows, and one whole-gradient step (backward without
+a sink, ``apply_l2``, ``adam_step``) on the same batch, and prints ``ok``
+per net when the loss, the parameters and the moments are byte-identical;
+it exits 1 on a mismatch. The FC1024 layers of M3 and M4 are 16 blocks
+each, the c06 net's FC32 one. M3 at 64x64 needs about 1.7 GB.
+
 This is not a CI gate: GEMM results depend on the BLAS library and the
 CPU (its kernels pick their blocking and instructions by CPU), so the
 pinned values hold on the host they were measured on (x86-64, NumPy 2.4.6,
@@ -47,14 +55,14 @@ import numpy as np
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
-from synthdata import bar_dataset, fourbar_dataset  # noqa: E402
+from synthdata import bar_dataset, fourbar_dataset, whole_gradient_step  # noqa: E402
 
 from microvoc import archdsl  # noqa: E402
 from microvoc.augment import stack_batch  # noqa: E402
 from microvoc.layers import Mode  # noqa: E402
-from microvoc.optim import AdamState, PlateauScheduler  # noqa: E402
+from microvoc.optim import AdamConfig, AdamState, PlateauScheduler  # noqa: E402
 from microvoc.trainer import (Network, TrainConfig, build, evaluate,  # noqa: E402
-                              load_checkpoint, save_checkpoint, train)
+                              load_checkpoint, save_checkpoint, train, train_step)
 
 #: name -> (dataset, config, pinned history.csv sha256, pinned model.ckpt sha256)
 RUNS = {
@@ -90,6 +98,11 @@ LOGIT_COUNTS = (53, 200, 320, 512)
 #: evaluate's default batch, forwarded whole before it went in pieces
 EVAL_RUN = 256
 
+#: (name, arch, input size, dtype, batch) of the nets whose streamed step is checked
+STEP_NETS = [(name, archdsl.resolve_arch(name), size, "float32", batch)
+             for name, size, batch in (("M3", 32, 32), ("M3", 64, 16), ("M4", 32, 32))]
+STEP_NETS += [("c06", RUNS["c06"][1].arch, 32, "float64", 32)]
+
 
 def piece_logits(net: Network, samples) -> bytes:
     """The logits of the forwards ``evaluate`` makes, in sample order."""
@@ -113,6 +126,20 @@ def run_logits(net: Network, samples) -> bytes:
     return b"".join(net.forward(stack_batch(samples[i:i + EVAL_RUN], net.dtype)[0],
                                 Mode.TEST).data.tobytes()
                     for i in range(0, len(samples), EVAL_RUN))
+
+
+def step_digest(step, arch: str, size: int, dtype: str, batch: int) -> bytes:
+    """sha256 over the loss, the parameters and the Adam moments after one
+    ``step`` of a fresh net on ``batch`` bar images."""
+    net = build(arch, seed=1, dtype=dtype, input_dims=(3, size, size))
+    x, y = stack_batch(bar_dataset(batch, size, seed=5).samples, net.dtype)
+    state = AdamState()
+    loss = step(net, x, y, state, AdamConfig(), rng=np.random.default_rng(6))
+    h = hashlib.sha256(np.float64(loss).tobytes())
+    for key, p in net.param_dict().items():
+        for arr in (p.data, state.m[key].data, state.v[key].data):
+            h.update(arr)
+    return h.digest()
 
 
 def run_hashes(make_dataset, config: TrainConfig, out: Path) -> tuple[str, str]:
@@ -163,6 +190,12 @@ def main() -> int:
         counts = ", ".join(map(str, LOGIT_COUNTS))
         print(f"{name} {size}x{size} {dtype} logits in pieces, {counts} samples "
               f"{'MISMATCH at ' + str(wrong) if wrong else 'ok'}", flush=True)
+    for name, arch, size, dtype, batch in STEP_NETS:
+        ok = (step_digest(train_step, arch, size, dtype, batch)
+              == step_digest(whole_gradient_step, arch, size, dtype, batch))
+        bad += not ok
+        print(f"{name} {size}x{size} {dtype} streamed step, batch {batch}: loss, params and "
+              f"moments {'ok' if ok else 'MISMATCH'}", flush=True)
     return 1 if bad else 0
 
 
