@@ -23,10 +23,11 @@ and keeps its output, against which backward routes; LRN runs one image
 at a time on reused (c, h, w) buffers. FC backward computes its input
 gradient first and, given a sink in its cache, hands the sink its weight
 gradient in blocks of FC_BLOCK_ROWS output rows instead of returning it,
-so the whole gradient never exists. ``KINDS`` holds one row per kind:
-its token and options in architecture strings, and its ``realize``,
-which gives its validated config, output dims and parameter shapes for a
-given input.
+so the whole gradient never exists. A flag in the conv and FC caches
+makes their backward skip the parameter gradients, for a frozen layer.
+``KINDS`` holds one row per kind: its token and options in architecture
+strings, and its ``realize``, which gives its validated config, output
+dims and parameter shapes for a given input.
 
 Output spatial dims obey the exact-division rule: (H + 2*pad - k) must
 be divisible by the stride, otherwise a ShapeError is raised. This makes
@@ -202,6 +203,7 @@ class ConvCache(NamedTuple):
     weights: np.ndarray  # (f, c, kh, kw), in the input's dtype
     cfg: ConvConfig
     input_grad: bool = True  # False: backward returns None for grad_input
+    param_grads: bool = True  # False: backward computes no "w"/"b" and returns {}
 
 
 def _tap_offsets(kh: int, kw: int, grid_w: int) -> list[int]:
@@ -289,7 +291,8 @@ def conv2d_forward(x: Tensor4, weights: Tensor4, bias: Tensor4,
 
 def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None, dict]:
     """Return (grad_input, {"w": grad_weights, "b": grad_bias});
-    grad_input is None when ``cache.input_grad`` is False.
+    grad_input is None when ``cache.input_grad`` is False, and the dict
+    is empty when ``cache.param_grads`` is False.
 
     grad_w[:, :, u, v] is one (f x K)(K x c) GEMM over the K output
     positions of the whole batch, its patch copied from the zero-padded
@@ -301,7 +304,7 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None
     """
     if cache is None:
         raise StateError("conv backward called without cached forward state")
-    x, x_dims, wd, cfg, input_grad = cache
+    x, x_dims, wd, cfg, input_grad, param_grads = cache
     n, c, h, w = x_dims
     f, _, kh, kw = wd.shape
     s, p = cfg.stride, cfg.pad
@@ -311,18 +314,20 @@ def conv2d_backward(cache: ConvCache, grad_out: Tensor4) -> tuple[Tensor4 | None
         raise ShapeError(f"grad_out dims {go.shape} do not match forward output")
     hp, wp = h + 2 * p, w + 2 * p
 
-    grad_b = go.sum(axis=(0, 2, 3)).reshape(1, f, 1, 1)
-    grid = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    grid[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
-    go_fk = go.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-    patch = np.empty((n, ho, wo, c), dtype=x.dtype)
-    grad_w = np.empty_like(wd)
-    for u in range(kh):
-        for v in range(kw):
-            patch[...] = grid[:, u:u + s * ho:s, v:v + s * wo:s]
-            grad_w[:, :, u, v] = go_fk @ patch.reshape(n * ho * wo, c)
-    del go_fk, grid, patch
-    grads = {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}
+    grads = {}
+    if param_grads:
+        grad_b = go.sum(axis=(0, 2, 3)).reshape(1, f, 1, 1)
+        grid = np.zeros((n, hp, wp, c), dtype=x.dtype)
+        grid[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        go_fk = go.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        patch = np.empty((n, ho, wo, c), dtype=x.dtype)
+        grad_w = np.empty_like(wd)
+        for u in range(kh):
+            for v in range(kw):
+                patch[...] = grid[:, u:u + s * ho:s, v:v + s * wo:s]
+                grad_w[:, :, u, v] = go_fk @ patch.reshape(n * ho * wo, c)
+        del go_fk, grid, patch
+        grads = {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}
     if not input_grad:
         return None, grads
 
@@ -529,6 +534,7 @@ class FcCache(NamedTuple):
     x_dims: tuple
     weights: np.ndarray
     sink: Callable | None = None  # takes the weight gradient's row blocks; see fc_backward
+    param_grads: bool = True  # False: backward computes no "w"/"b" and returns {}
 
 
 def fc_forward(x: Tensor4, weights: Tensor4, bias: Tensor4) -> tuple[Tensor4, FcCache]:
@@ -550,7 +556,8 @@ def fc_forward(x: Tensor4, weights: Tensor4, bias: Tensor4) -> tuple[Tensor4, Fc
 
 
 def fc_backward(cache: FcCache, grad_out: Tensor4) -> tuple[Tensor4, dict]:
-    """Return (grad_input, {"w": grad_weights, "b": grad_bias}).
+    """Return (grad_input, {"w": grad_weights, "b": grad_bias}), or
+    (grad_input, {}) when ``cache.param_grads`` is False.
 
     With ``cache.sink`` set, the weight gradient goes to the sink instead,
     as ``sink(lo, rows)`` for blocks of FC_BLOCK_ROWS output rows starting
@@ -560,13 +567,15 @@ def fc_backward(cache: FcCache, grad_out: Tensor4) -> tuple[Tensor4, dict]:
     are a view of them)."""
     if cache is None:
         raise StateError("fc backward called without cached forward state")
-    x_flat, x_dims, wd, sink = cache
+    x_flat, x_dims, wd, sink, param_grads = cache
     n, out_size = x_flat.shape[0], wd.shape[0]
     if grad_out.dims != (n, out_size, 1, 1):
         raise ShapeError(f"grad_out dims {grad_out.dims}, expected ({n}, {out_size}, 1, 1)")
     go = grad_out.data.reshape(n, out_size)
-    grad_b = go.sum(axis=0).reshape(1, out_size, 1, 1)
     gx = (go @ wd).reshape(x_dims)
+    if not param_grads:
+        return Tensor4(gx), {}
+    grad_b = go.sum(axis=0).reshape(1, out_size, 1, 1)
     if sink is None:
         grad_w = (go.T @ x_flat).reshape(out_size, x_flat.shape[1], 1, 1)
         return Tensor4(gx), {"w": Tensor4(grad_w), "b": Tensor4(grad_b)}

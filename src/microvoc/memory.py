@@ -12,8 +12,10 @@ long-lived blocks land among those arrays then decided whether some
 256-image activations were mapped apart from the heap: perfbench's
 eval_m4 peak RSS read about 210 or about 241 MB from run to run (2 vCPU
 x86-64, glibc 2.36, NumPy 2.4.6). ``trainer.evaluate`` now forwards
-64-image pieces, whose M4 activations at that size are 16 MiB before
-the first pool and 6 MiB after it, so they come from the heap too.
+64-image pieces, and a test-mode forward runs the layers before the
+first FC layer 8 images at a time: M4's activations at that size are
+2 MiB before the first pool (16 MiB for a whole 64-image piece) and its
+trunk outputs 1.5 MiB a piece, so they come from the heap too.
 
 ``pin_malloc_thresholds`` fixes the mmap threshold at 32 MiB, the level
 the dynamic rule climbs to anyway, so arrays below it keep reusing heap

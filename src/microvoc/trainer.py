@@ -59,55 +59,60 @@ class LayerNode:
     spec: LayerSpec
     cfg: object = None  # the config its kind's realize gave this layer
     params: dict[str, Tensor4] = field(default_factory=dict)
-    frozen: bool = False  # frozen layers still get gradients; the optimizer drops them
+    frozen: bool = False  # frozen layers get no parameter gradients and no update
     cache: object = None
 
 
-def _conv_backward(cache, g, input_grad=True, sink=None):
-    if cache is not None and not input_grad:
-        cache = cache._replace(input_grad=False)
+def _conv_backward(cache, g, input_grad=True, sink=None, param_grads=True):
+    if cache is not None:
+        cache = cache._replace(input_grad=input_grad, param_grads=param_grads)
     return conv2d_backward(cache, g)
 
 
-def _fc_backward(cache, g, input_grad=True, sink=None):
-    if cache is not None and sink is not None:
-        cache = cache._replace(sink=sink)
+def _fc_backward(cache, g, input_grad=True, sink=None, param_grads=True):
+    if cache is not None:
+        cache = cache._replace(sink=sink, param_grads=param_grads)
     return fc_backward(cache, g)
 
 
 #: kind -> (forward(node, x, mode, rng) -> (output, cache),
-#:          backward(cache, grad_out, input_grad=True, sink=None)
+#:          backward(cache, grad_out, input_grad=True, sink=None, param_grads=True)
 #:          -> (grad_input, {param name: grad})).
 #: ``Network.forward`` drops the cache of a test-mode forward. Backward may
 #: skip grad_input (and return None for it) when ``input_grad`` is False;
 #: only conv does. When ``sink`` is not None, backward may hand it the
 #: weight gradient "w" in blocks of rows, as ``sink(first row, rows)``,
-#: instead of returning it; only fc does. The adapters look the kernels up
-#: by their names in this module at call time, so a wrapper installed on
-#: ``trainer.<kernel>`` sees every call; they call each kernel with its own
-#: arguments only, so the mode, the input-gradient switch of conv and the
-#: sink of fc (both go into the cache) do not reach its argument list.
+#: instead of returning it; only fc does. When ``param_grads`` is False
+#: (a frozen layer), backward computes no parameter gradient and returns
+#: an empty dict. The adapters look the kernels up by their names in this
+#: module at call time, so a wrapper installed on ``trainer.<kernel>``
+#: sees every call; they call each kernel with its own arguments only, so
+#: the mode and the switches of conv and fc (they go into the cache) do
+#: not reach its argument list.
 DISPATCH = {
     "conv": (lambda node, x, mode, rng: conv2d_forward(
                  x, node.params["w"], node.params["b"], node.cfg), _conv_backward),
     "relu": (lambda node, x, mode, rng: relu_forward(x, mode),
-             lambda cache, g, input_grad=True, sink=None: (relu_backward(cache, g), {})),
+             lambda cache, g, *_: (relu_backward(cache, g), {})),
     "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
-                lambda cache, g, input_grad=True, sink=None: (maxpool_backward(cache, g), {})),
+                lambda cache, g, *_: (maxpool_backward(cache, g), {})),
     "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg, mode),
-            lambda cache, g, input_grad=True, sink=None: (lrn_backward(cache, g), {})),
+            lambda cache, g, *_: (lrn_backward(cache, g), {})),
     "dropout": (lambda node, x, mode, rng: dropout_apply(x, node.cfg, mode, rng),
-                lambda cache, g, input_grad=True, sink=None: (dropout_backward(cache, g), {})),
+                lambda cache, g, *_: (dropout_backward(cache, g), {})),
     "fc": (lambda node, x, mode, rng: fc_forward(x, node.params["w"], node.params["b"]),
            _fc_backward),
     # a marker: the loss applies the softmax, and its gradient is already
     # with respect to the logits
     "softmax": (lambda node, x, mode, rng: (x, ()),
-                lambda cache, g, input_grad=True, sink=None: (g, {})),
+                lambda cache, g, *_: (g, {})),
 }
 
 #: kinds whose test-mode forward writes its output into its input's buffer
 WRITES_INPUT_IN_TEST = frozenset({"relu", "lrn", "dropout"})
+
+#: images per slice of a test-mode forward's trunk (see ``Network.forward``)
+TRUNK_PIECE = 8
 
 
 class Network:
@@ -135,14 +140,38 @@ class Network:
         per-layer state needed by backward; test mode drops every layer's
         cache. Dropout only drops in train, with draws from ``rng``.
         ``batch`` is never written: a test-mode layer that writes into its
-        input gets a copy of it."""
+        input gets a copy of it.
+
+        In test mode the layers before the first FC layer (the trunk) run
+        on slices of TRUNK_PIECE images, whose outputs fill one buffer for
+        the whole batch, and the rest (the head) runs once on that buffer.
+        Every trunk kernel computes each image on its own (a conv with a
+        single filter may not keep its last bits; see the README), and the
+        head's GEMMs see every row at once, so the logits are those of one
+        pass of every layer over the whole batch (``tools/pinned_hashes.py``
+        checks that), while the trunk's activations are those of
+        TRUNK_PIECE images."""
         n, c, h, w = batch.dims
         if (c, h, w) != self.spec.input_dims:
             raise ShapeError(f"batch dims {(c, h, w)} != network input {self.spec.input_dims}")
-        x = batch if batch.dtype == self.dtype else batch.astype(self.dtype)
-        for node in self.nodes:
-            if x is batch and mode is not Mode.TRAIN and node.spec.kind in WRITES_INPUT_IN_TEST:
-                x = batch.copy()
+        head = next((i for i, node in enumerate(self.nodes) if node.spec.kind == "fc"),
+                    len(self.nodes))
+        if mode is Mode.TRAIN or head == 0:
+            return self._run(self.nodes, batch, mode, rng)
+        trunk = Tensor4(np.empty((n, *self.spec.shapes[head - 1]), dtype=self.dtype))
+        for lo in range(0, n, TRUNK_PIECE):
+            piece = Tensor4(batch.data[lo:lo + TRUNK_PIECE])
+            trunk.data[lo:lo + TRUNK_PIECE] = self._run(self.nodes[:head], piece, mode, rng).data
+        return self._run(self.nodes[head:], trunk, mode, rng)
+
+    def _run(self, nodes: list[LayerNode], given: Tensor4, mode: Mode,
+             rng: np.random.Generator | None) -> Tensor4:
+        """Run ``nodes`` in order on ``given``, in the net's dtype, without
+        writing ``given``; see ``forward``."""
+        x = given if given.dtype == self.dtype else given.astype(self.dtype)
+        for node in nodes:
+            if x is given and mode is not Mode.TRAIN and node.spec.kind in WRITES_INPUT_IN_TEST:
+                x = given.copy()
             x, node.cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
             if mode is not Mode.TRAIN:
                 node.cache = None  # at once: a cache may refer to the layer's input
@@ -158,16 +187,17 @@ class Network:
 
         With a ``sink``, each unfrozen FC layer hands it its weight
         gradient in blocks of rows, as ``sink(key, first row, rows)``, and
-        the returned dict has no key for it; frozen layers return theirs."""
+        the returned dict has no key for it. Frozen layers compute no
+        parameter gradient and the dict has no key for them."""
         grads: dict[str, Tensor4] = {}
         g = grad_logits
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]
             if node.cache is None:
                 raise StateError(f"layer {i} ({node.spec.kind}) has no cached forward state")
-            node_sink = None if sink is None or node.frozen else functools.partial(sink, f"{i}.w")
+            node_sink = None if sink is None else functools.partial(sink, f"{i}.w")
             g, node_grads = DISPATCH[node.spec.kind][1](node.cache, g, input_grad or i > 0,
-                                                        node_sink)
+                                                        node_sink, not node.frozen)
             for name, gt in node_grads.items():
                 grads[f"{i}.{name}"] = gt
             node.cache = None

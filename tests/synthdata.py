@@ -1,6 +1,7 @@
 """Synthetic image tasks shared by the trainer and acceptance tests, a
-binary PPM writer for tests that ingest image files, and the
-whole-gradient training step that ``trainer.train_step`` must match.
+binary PPM writer for tests that ingest image files, and the references
+that ``trainer.train_step`` and test-mode ``Network.forward`` must match:
+the whole-gradient training step and the one-pass forward.
 
 Bar images: 3-channel squares with a bright horizontal or vertical bar
 at a random position over Gaussian background noise. Orientation is the
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from microvoc import trainer
 from microvoc.augment import Dataset, Sample, mean_subtract, split_60_40
 from microvoc.layers import Mode, softmax_cross_entropy
 from microvoc.optim import adam_step, apply_l2
@@ -90,3 +92,14 @@ def whole_gradient_step(net, x, labels, state, cfg, *, include_biases=False, rng
     penalty = apply_l2(net.param_dict(), grads, cfg.lam, include_biases)
     adam_step(net.param_dict(trainable_only=True), grads, state, cfg)
     return data_loss + penalty
+
+
+def one_pass_forward(net, batch):
+    """A test-mode forward that runs each layer once on the whole batch,
+    as ``Network.forward`` did before its trunk went in slices; returns
+    the logits. It works on a copy of ``batch`` in the net's dtype, as
+    test-mode ReLU, LRN and Dropout write into their input."""
+    x = batch.astype(net.dtype)
+    for node in net.nodes:
+        x, _ = trainer.DISPATCH[node.spec.kind][0](node, x, Mode.TEST, None)
+    return x

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthdata import bar_dataset, whole_gradient_step
+from synthdata import bar_dataset, one_pass_forward, whole_gradient_step
 
 from microvoc import archdsl, trainer
 from microvoc.augment import Sample
@@ -144,6 +144,29 @@ class TestForward:
             tracemalloc.stop()
         assert peak - start < 2.75 * x.data.nbytes  # 2.5 activations; 3 when held
 
+    @pytest.mark.parametrize("arch, size, dtype", [
+        (archdsl.resolve_arch("M4"), 16, np.float32),
+        ("IMG-ReLU-Conv4-LRN[n=3]-ReLU-MaxPool-Dropout-FC8-ReLU-FC3-Softmax", 8, np.float64),
+    ], ids=["M4", "first-layer-writes-input"])
+    def test_trunk_slices_give_the_one_pass_logits(self, monkeypatch, arch, size, dtype):
+        net = build(arch, seed=1, dtype=dtype, input_dims=(3, size, size))
+        slices = [trainer.TRUNK_PIECE] * 6 + [5]
+        x = Tensor4(random_batch(sum(slices), (3, size, size), seed=2).data.astype(dtype))
+        before = x.data.tobytes()
+        want = one_pass_forward(net, x).data.tobytes()
+        conv_batches = []
+        conv = trainer.conv2d_forward
+
+        def spy(x, *args):
+            conv_batches.append(x.dims[0])
+            return conv(x, *args)
+
+        monkeypatch.setattr(trainer, "conv2d_forward", spy)
+        assert net.forward(x, Mode.TEST).data.tobytes() == want
+        assert x.data.tobytes() == before
+        convs = sum(node.spec.kind == "conv" for node in net.nodes)
+        assert conv_batches == [k for k in slices for _ in range(convs)]
+
 
 class TestBackward:
     def test_zero_grad_logits_give_zero_grads(self):
@@ -174,8 +197,8 @@ class TestBackward:
         with_params = [(i, n) for i, n in enumerate(net.nodes) if n.params]
         assert with_params
         assert all(n.frozen for _, n in with_params)
-        # still computed
-        assert set(grads) == {f"{i}.{name}" for i, n in with_params for name in n.params}
+        # frozen layers compute no parameter gradient
+        assert grads == {}
 
     @pytest.mark.parametrize("arch", [SMALL_ARCH, "IMG-(FC16-ReLU-FC4)-Softmax"])
     def test_input_gradient_only_on_request(self, arch):
@@ -353,16 +376,18 @@ class TestStreamedStep:
     def run(self, step, monkeypatch, tmp_path, dtype, frozen_fc, **overrides):
         """Three iterations, a checkpoint with Adam state, then three more
         from the loaded checkpoint, each through ``step``. Returns the loss
-        rows, the final bytes and the FC weight gradients that backward
-        streamed instead of returning."""
+        rows, the final bytes and the keys of the weight gradients that
+        backward handed its sink."""
         monkeypatch.setattr(trainer, "train_step", step)
         streamed = set()
         backward = Network.backward
 
-        def spy(net, *args, **kwargs):
-            grads = backward(net, *args, **kwargs)
-            streamed.update({"3.w", "6.w"} - set(grads))
-            return grads
+        def spy(net, grad_logits, input_grad=False, sink=None):
+            def recording(key, row, g):
+                streamed.add(key)
+                sink(key, row, g)
+
+            return backward(net, grad_logits, input_grad, None if sink is None else recording)
 
         monkeypatch.setattr(Network, "backward", spy)
         ds = bar_dataset(20, 16, seed=2)
@@ -421,11 +446,15 @@ class TestStreamedStep:
         assert not backward_calls
         assert state_bytes(net, state) == before
 
-    def test_fc_weight_gradient_never_exists_whole(self):
-        # M3 at 32x32: FC1's weight gradient is 1024 x 16384 float32, 64 MiB
+    @staticmethod
+    def m3_step_peak(frozen=()):
+        """The tracemalloc peak of one M3 32x32 float32 training step with
+        the layers at the indices ``frozen`` frozen."""
         ds = bar_dataset(53, 32, seed=1)
         net = build(archdsl.resolve_arch("M3"), seed=1, dtype=np.float32,
                     input_dims=(3, 32, 32))
+        freeze(net, lambda i, ls: i in frozen)
+        before = {key: p.data.tobytes() for key, p in net.param_dict().items()}
         state = AdamState.for_params(net.param_dict())
         cfg = TrainConfig(arch=archdsl.resolve_arch("M3"), dtype="float32", max_iterations=1,
                           eval_every=2, seed=1)
@@ -437,7 +466,20 @@ class TestStreamedStep:
         finally:
             tracemalloc.stop()
         assert state.t == 1
-        assert peak - start < 100 * 2**20
+        unchanged = {key for key, p in net.param_dict().items()
+                     if p.data.tobytes() == before[key]}
+        assert unchanged == {f"{i}.{name}" for i in frozen for name in ("w", "b")}
+        return peak - start
+
+    def test_fc_weight_gradient_never_exists_whole(self):
+        # M3 at 32x32: FC1's weight gradient is 1024 x 16384 float32, 64 MiB
+        assert self.m3_step_peak() < 100 * 2**20
+
+    def test_frozen_fc_layer_computes_no_weight_gradient(self):
+        # FC1 (layer 11) frozen: no sink takes its gradient, and none is made,
+        # so the step peaks as the unfrozen one does, not 64 MiB above it
+        assert archdsl.parse(archdsl.resolve_arch("M3"), (3, 32, 32)).layers[11].kind == "fc"
+        assert self.m3_step_peak(frozen=(11,)) <= self.m3_step_peak() + 2 * 2**20
 
 
 class TestEvaluate:

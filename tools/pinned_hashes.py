@@ -25,9 +25,11 @@ value or a round trip changes a byte. The M3 run, float32 with Adam state
 and FC tensors of many chunks, checks the checkpoint decoder's casts.
 
 Then, for each net of ``LOGIT_NETS`` (freshly built), it checks that the
-logits of ``evaluate``'s 64-image pieces are byte-identical to those of
-one forward per 256-image run, on the first 53, 200, 320 and 512 samples
-of a bar dataset, and prints ``ok`` per net; it exits 1 on a mismatch.
+logits of ``evaluate``'s 64-image pieces, whose trunks run in slices of
+``trainer.TRUNK_PIECE`` images, are byte-identical to those of one pass
+of every layer over each 256-image run (``synthdata.one_pass_forward``),
+on the first 53, 200, 320 and 512 samples of a bar dataset, and prints
+``ok`` per net; it exits 1 on a mismatch.
 
 Last, for each net of ``STEP_NETS`` (freshly built, fresh Adam state), it
 takes one ``train_step``, which streams each FC weight gradient into L2
@@ -55,11 +57,11 @@ import numpy as np
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
-from synthdata import bar_dataset, fourbar_dataset, whole_gradient_step  # noqa: E402
+from synthdata import (bar_dataset, fourbar_dataset, one_pass_forward,  # noqa: E402
+                       whole_gradient_step)
 
 from microvoc import archdsl  # noqa: E402
 from microvoc.augment import stack_batch  # noqa: E402
-from microvoc.layers import Mode  # noqa: E402
 from microvoc.optim import AdamConfig, AdamState, PlateauScheduler  # noqa: E402
 from microvoc.trainer import (Network, TrainConfig, build, evaluate,  # noqa: E402
                               load_checkpoint, save_checkpoint, train, train_step)
@@ -122,9 +124,9 @@ def piece_logits(net: Network, samples) -> bytes:
 
 
 def run_logits(net: Network, samples) -> bytes:
-    """The logits of one forward per EVAL_RUN samples."""
-    return b"".join(net.forward(stack_batch(samples[i:i + EVAL_RUN], net.dtype)[0],
-                                Mode.TEST).data.tobytes()
+    """The logits of one pass of every layer over each EVAL_RUN samples."""
+    return b"".join(one_pass_forward(net, stack_batch(samples[i:i + EVAL_RUN],
+                                                      net.dtype)[0]).data.tobytes()
                     for i in range(0, len(samples), EVAL_RUN))
 
 
