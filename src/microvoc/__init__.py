@@ -7,7 +7,6 @@ from .archdsl import PRESETS, LayerSpec, NetworkSpec, parse, render
 from .augment import Dataset, Sample, resize_to, split_60_40
 from .initializers import InitSpec
 from .layers import ConvConfig, DropoutConfig, LrnConfig, Mode
-from .memory import pin_malloc_thresholds
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from .tensor import Tensor4
 from .trainer import (
@@ -23,9 +22,6 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
-
-# before any workload runs: see microvoc.memory
-pin_malloc_thresholds()
 
 __all__ = [
     "AdamConfig", "AdamState", "ConvConfig", "Dataset", "DropoutConfig",

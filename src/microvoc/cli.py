@@ -4,7 +4,8 @@ Commands: ``train --config F``, ``eval --checkpoint C --manifest M``,
 ``predict --checkpoint C --image I``, ``gradcheck [--layer K]`` and
 ``inspect --arch S``. Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numeric failure (a gradient check, a non-finite training loss, or
-an evaluation that overflows or gives non-finite logits).
+an evaluation or prediction whose forward overflows or gives non-finite
+logits).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import archdsl, dataio, gradcheck, trainer
 from .errors import ArchError, CheckpointError, ConfigError, MicrovocError, NumericError
 from .initializers import InitSpec
-from .layers import Mode
 from .optim import AdamConfig, AdamState, PlateauScheduler, SchedulerConfig
 from .trainer import TrainConfig
 
@@ -323,7 +323,7 @@ def cmd_predict(args) -> int:
     class_names = _class_names(ckpt)
     c, h, w = ckpt.net.spec.input_dims
     img = dataio.load_image(args.image, (h, w), ckpt.channel_means)
-    logits = ckpt.net.forward(img, Mode.TEST).data.reshape(-1)
+    logits = trainer.checked_logits(ckpt.net, img).reshape(-1)
     exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
     order = np.argsort(-probs)[:5]

@@ -108,9 +108,6 @@ DISPATCH = {
                 lambda cache, g, *_: (g, {})),
 }
 
-#: kinds whose test-mode forward writes its output into its input's buffer
-WRITES_INPUT_IN_TEST = frozenset({"relu", "lrn", "dropout"})
-
 #: images per slice of a test-mode forward's trunk (see ``Network.forward``)
 TRUNK_PIECE = 8
 
@@ -138,9 +135,8 @@ class Network:
                 rng: np.random.Generator | None = None) -> Tensor4:
         """Run the layers in order; returns logits. Train mode caches the
         per-layer state needed by backward; test mode drops every layer's
-        cache. Dropout only drops in train, with draws from ``rng``.
-        ``batch`` is never written: a test-mode layer that writes into its
-        input gets a copy of it.
+        cache. Dropout only drops in train, with draws from ``rng``. No
+        kernel writes into its input, so ``batch`` is never written.
 
         In test mode the layers before the first FC layer (the trunk) run
         on slices of TRUNK_PIECE images, whose outputs fill one buffer for
@@ -164,14 +160,12 @@ class Network:
             trunk.data[lo:lo + TRUNK_PIECE] = self._run(self.nodes[:head], piece, mode, rng).data
         return self._run(self.nodes[head:], trunk, mode, rng)
 
-    def _run(self, nodes: list[LayerNode], given: Tensor4, mode: Mode,
+    def _run(self, nodes: list[LayerNode], x: Tensor4, mode: Mode,
              rng: np.random.Generator | None) -> Tensor4:
-        """Run ``nodes`` in order on ``given``, in the net's dtype, without
-        writing ``given``; see ``forward``."""
-        x = given if given.dtype == self.dtype else given.astype(self.dtype)
+        """Run ``nodes`` in order on ``x``, in the net's dtype; see ``forward``."""
+        if x.dtype != self.dtype:
+            x = x.astype(self.dtype)
         for node in nodes:
-            if x is given and mode is not Mode.TRAIN and node.spec.kind in WRITES_INPUT_IN_TEST:
-                x = given.copy()
             x, node.cache = DISPATCH[node.spec.kind][0](node, x, mode, rng)
             if mode is not Mode.TRAIN:
                 node.cache = None  # at once: a cache may refer to the layer's input
@@ -271,6 +265,21 @@ def reinitialize(net: Network, kinds: tuple[str, ...] = ("fc",),
     return net
 
 
+def checked_logits(net: Network, x: Tensor4) -> np.ndarray:
+    """The test-mode logits of ``x`` as an (n, classes) array. Raises
+    NumericError when the forward overflows or the logits are not finite."""
+    # weights that overflowed can give finite logits (a ReLU maps NaN to
+    # 0), so an overflow inside the forward counts too
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            logits = net.forward(x, Mode.TEST).data.reshape(x.dims[0], -1)
+        except FloatingPointError as e:
+            raise NumericError(f"evaluation forward: {e}") from None
+    if not np.isfinite(logits).all():
+        raise NumericError("evaluation logits are not finite")
+    return logits
+
+
 #: images per test-mode forward in ``evaluate``
 EVAL_PIECE = 64
 
@@ -278,7 +287,7 @@ EVAL_PIECE = 64
 def evaluate(net: Network, samples: list[Sample | View], batch_size: int = 256) -> float:
     """Top-1 accuracy under test-mode forwards; argmax ties go to the
     first (lowest) class index. Raises NumericError when a forward
-    overflows or its logits are not finite.
+    overflows or its logits are not finite (see ``checked_logits``).
 
     The samples go in runs of ``batch_size``, and each run is stacked and
     forwarded in pieces of EVAL_PIECE images, the last piece taking the
@@ -299,16 +308,7 @@ def evaluate(net: Network, samples: list[Sample | View], batch_size: int = 256) 
         for i in range(pieces):
             piece = run[i * EVAL_PIECE:(i + 1) * EVAL_PIECE if i + 1 < pieces else None]
             x, y = stack_batch(piece, net.dtype)
-            # weights that overflowed can give finite logits (a ReLU maps
-            # NaN to 0), so an overflow inside the forward counts too
-            with np.errstate(over="raise", invalid="raise"):
-                try:
-                    logits = net.forward(x, Mode.TEST).data.reshape(len(piece), -1)
-                except FloatingPointError as e:
-                    raise NumericError(f"evaluation forward: {e}") from None
-            if not np.isfinite(logits).all():
-                raise NumericError("evaluation logits are not finite")
-            correct += int((logits.argmax(axis=1) == y).sum())
+            correct += int((checked_logits(net, x).argmax(axis=1) == y).sum())
     return correct / len(samples)
 
 

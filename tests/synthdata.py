@@ -97,8 +97,7 @@ def whole_gradient_step(net, x, labels, state, cfg, *, include_biases=False, rng
 def one_pass_forward(net, batch):
     """A test-mode forward that runs each layer once on the whole batch,
     as ``Network.forward`` did before its trunk went in slices; returns
-    the logits. It works on a copy of ``batch`` in the net's dtype, as
-    test-mode ReLU, LRN and Dropout write into their input."""
+    the logits. It runs in the net's dtype, as ``Network.forward`` does."""
     x = batch.astype(net.dtype)
     for node in net.nodes:
         x, _ = trainer.DISPATCH[node.spec.kind][0](node, x, Mode.TEST, None)

@@ -55,6 +55,17 @@ total parameters: 1010
 """
 
 
+def run_cli_process(*argv):
+    """``microvoc.cli`` with ``argv`` in a new interpreter on this tree's
+    ``src``, where NumPy's floating-point warnings reach stderr as they do
+    for a user."""
+    src = str(Path(microvoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "microvoc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     rng = np.random.default_rng(0)
@@ -495,16 +506,10 @@ class TestTrainEvalPredict:
     ])
     def test_diverging_run_prints_one_stderr_line(self, tmp_path, dataset_dir, overrides,
                                                   message):
-        # a new interpreter, where NumPy's floating-point warnings would
-        # reach stderr as they do for a user
         _, manifest = dataset_dir
         cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run", max_iterations=5,
                            **overrides)
-        src = str(Path(microvoc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "microvoc.cli", "train", "--config",
-                               str(cfg)], env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli_process("train", "--config", str(cfg))
         assert proc.returncode == 3
         assert proc.stderr == f"error: {message}\n"
 
@@ -519,6 +524,25 @@ class TestTrainEvalPredict:
         assert main(["predict", "--checkpoint", str(path),
                      "--image", str(tmp_path / "x.ppm")]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("poison", ["nan_fc_bias", "huge_weights"])
+    def test_predict_with_non_finite_scores_exits_3(self, tmp_path, poison):
+        # a NaN last FC bias gives NaN logits; 1e308 weights overflow inside
+        # the forward, which would also print NumPy warnings
+        net = build(archdsl.parse(TINY_ARCH, (3, 12, 12)))
+        if poison == "nan_fc_bias":
+            net.nodes[-2].params["b"].data[...] = np.nan
+        else:
+            for node in net.nodes:
+                if "w" in node.params:
+                    node.params["w"].data[...] = 1e308
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, class_names=["cat", "dog"])
+        write_ppm(tmp_path / "x.ppm", np.full((3, 12, 12), 100.0))
+        proc = run_cli_process("predict", "--checkpoint", str(path),
+                               "--image", str(tmp_path / "x.ppm"))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("arch, names, said", [

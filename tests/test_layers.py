@@ -528,13 +528,13 @@ def test_lrn_matches_reference_bytes(dtype, batch, n, c, h, w, k, alpha, beta, s
 
 
 @pytest.mark.parametrize("kind", ["relu", "lrn", "dropout"])
-def test_only_test_mode_writes_into_the_input(kind):
+def test_no_mode_writes_into_the_input(kind):
     net = build(parse("IMG-ReLU-LRN[n=3]-Dropout-FC2-Softmax", (3, 4, 4)))
     node = next(node for node in net.nodes if node.spec.kind == kind)
-    for mode, shared in ((Mode.TRAIN, False), (Mode.TEST, True)):
+    for mode in (Mode.TRAIN, Mode.TEST):
         x = Tensor4(np.random.default_rng(9).standard_normal((2, 3, 4, 4)))
         out, _ = DISPATCH[kind][0](node, x, mode, np.random.default_rng(0))
-        assert np.shares_memory(out.data, x.data) == shared, mode
+        assert not np.shares_memory(out.data, x.data), mode
 
 
 def test_test_mode_adapters_cache_nothing():

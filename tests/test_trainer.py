@@ -122,7 +122,7 @@ class TestForward:
         "IMG-Dropout-ReLU-LRN[n=3]-FC2-Softmax",
     ])
     def test_test_mode_never_writes_the_callers_batch(self, arch):
-        # these kinds write their test-mode output into their input
+        # the kinds that take the Mode, each first on the caller's batch
         net = build(archdsl.parse(arch, (3, 4, 4)), seed=3)
         x = random_batch(5, (3, 4, 4))
         before = x.data.tobytes()
