@@ -544,6 +544,13 @@ class TestEvaluate:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"{message}$"):
             evaluate(net, samples)
 
+    def test_checked_logits_are_the_test_mode_logits(self):
+        # the guard evaluate and predict share changes no finite logit
+        net = small_net(seed=3)
+        x = random_batch(5, seed=2)
+        expected = net.forward(x, Mode.TEST).data.reshape(5, 4)
+        assert np.array_equal(trainer.checked_logits(net, x), expected)
+
     @pytest.mark.parametrize("batch_size", [0, -1, -256])
     def test_batch_size_below_one_rejected(self, batch_size):
         net = small_net()
