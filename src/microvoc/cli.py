@@ -324,7 +324,9 @@ def cmd_predict(args) -> int:
     c, h, w = ckpt.net.spec.input_dims
     img = dataio.load_image(args.image, (h, w), ckpt.channel_means)
     logits = trainer.checked_logits(ckpt.net, img).reshape(-1)
-    exp = np.exp(logits - logits.max())
+    # logits that span more than the float range give -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
     order = np.argsort(-probs)[:5]
     for rank, idx in enumerate(order, start=1):

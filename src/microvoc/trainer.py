@@ -509,18 +509,22 @@ def train(config: TrainConfig, dataset: Dataset, *,
 #   scheduler best f64 (NaN = unset), scheduler bad count u32,
 #   channel means 3*f64, class names (u32 count, each u32 len + utf-8),
 #   layer count u32, freeze bitmap, per-layer tensors (u8 count, then
-#   4*u32 dims + f64 data each), optional Adam state.
+#   4*u32 dims + data each), optional Adam state.
+# Each tensor is stored little-endian in its in-memory dtype: parameters
+# as f4 when flag bit0 (float32) is set, else f8; Adam moments as f8. A
+# file that holds f4 tensors is version 2. A float64 net's file is
+# version 1, which stores every tensor as f8, so it is byte for byte the
+# file written before version 2. The loader reads both versions.
 
 _MAGIC = b"MVOC"
-_VERSION = 1
+_VERSIONS = (1, 2)
 _FLAG_FLOAT32 = 1
 _FLAG_ADAM = 2
 _FLAG_MEANS = 4
 #: the fixed fields after the arch string: input dims, seed, iteration,
 #: alpha, scheduler best and bad count, channel means
 _FIXED = struct.Struct("<3IQQddI3d")
-#: every tensor is stored as little-endian float64
-_STORED_DTYPE = "<f8"
+_F4, _F8 = np.dtype("<f4"), np.dtype("<f8")
 
 
 @dataclass
@@ -546,9 +550,9 @@ def _write_str(fh, s: str) -> None:
     fh.write(struct.pack("<I", len(raw)) + raw)
 
 
-def _write_tensor(fh, t: Tensor4) -> None:
+def _write_tensor(fh, t: Tensor4, stored: np.dtype) -> None:
     fh.write(struct.pack("<4I", *t.dims))
-    for _, piece, buf in chunks(t.data, _STORED_DTYPE):
+    for _, piece, buf in chunks(t.data, stored):
         np.copyto(buf, piece)  # returns at once when buf is piece
         fh.write(buf.data)
 
@@ -579,13 +583,13 @@ class _Reader:
         except UnicodeDecodeError as e:
             raise CheckpointError(f"corrupt string: {e}") from e
 
-    def read_into(self, arr: np.ndarray, what: str) -> None:
-        """Fill ``arr`` from a stored tensor a chunk at a time; stored dims
-        that are not ``arr``'s raise before any data is read."""
+    def read_into(self, arr: np.ndarray, stored: np.dtype, what: str) -> None:
+        """Fill ``arr`` from a tensor stored as ``stored`` a chunk at a time;
+        stored dims that are not ``arr``'s raise before any data is read."""
         dims = self.unpack("<4I")
         if dims != arr.shape:
             raise CheckpointError(f"checkpoint tensor {what} dims {dims} != arch's {arr.shape}")
-        for _, piece, buf in chunks(arr, _STORED_DTYPE):
+        for _, piece, buf in chunks(arr, stored):
             if buf.nbytes > self.left or self.fh.readinto(buf) != buf.nbytes:
                 raise CheckpointError("checkpoint truncated")
             self.left -= buf.nbytes
@@ -613,11 +617,12 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
                     channel_means: np.ndarray | None = None,
                     class_names: list[str] | None = None) -> None:
     """Write the network (and optionally optimizer/scheduler state) so a
-    save/load round trip is bit-exact. Tensor data is stored as
-    little-endian float64 regardless of the in-memory precision."""
-    flags = 0
+    save/load round trip is bit-exact. Each tensor is stored little-endian
+    in its in-memory dtype: a float32 net's parameters as f4, in a version-2
+    file; a float64 net's as f8, in a version-1 file. Adam moments are f8."""
+    flags, version, stored = 0, 1, _F8
     if net.dtype == np.dtype(np.float32):
-        flags |= _FLAG_FLOAT32
+        flags, version, stored = _FLAG_FLOAT32, 2, _F4
     if adam_state is not None:
         flags |= _FLAG_ADAM
     if channel_means is not None:
@@ -628,7 +633,7 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
 
     with _replacing(path) as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, flags))
+        fh.write(struct.pack("<II", version, flags))
         _write_str(fh, archdsl.render(net.spec))
         fh.write(_FIXED.pack(*net.spec.input_dims, net.seed, iteration,
                              alpha if alpha is not None else 0.0, sched_best, sched.bad_count,
@@ -644,7 +649,7 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
         for node in net.nodes:
             fh.write(struct.pack("<B", len(node.params)))
             for name in sorted(node.params):
-                _write_tensor(fh, node.params[name])
+                _write_tensor(fh, node.params[name], stored)
 
         if adam_state is not None:
             fh.write(struct.pack("<Q", adam_state.t))
@@ -652,8 +657,8 @@ def save_checkpoint(path, net: Network, adam_state: AdamState | None = None, *,
             fh.write(struct.pack("<I", len(keys)))
             for key in keys:
                 _write_str(fh, key)
-                _write_tensor(fh, adam_state.m[key])
-                _write_tensor(fh, adam_state.v[key])
+                _write_tensor(fh, adam_state.m[key], _F8)
+                _write_tensor(fh, adam_state.v[key], _F8)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -668,9 +673,10 @@ def load_checkpoint(path) -> Checkpoint:
         if r.read(4) != _MAGIC:
             raise CheckpointError("not a checkpoint file (bad magic)")
         version, flags = r.unpack("<II")
-        if version != _VERSION:
+        if version not in _VERSIONS:
             raise VersionError(f"unsupported checkpoint version {version}")
         dtype = np.dtype(np.float32) if flags & _FLAG_FLOAT32 else np.dtype(np.float64)
+        stored = _F4 if version == 2 and flags & _FLAG_FLOAT32 else _F8
         arch = r.read_str()
         fixed = _FIXED.unpack(r.read(_FIXED.size))
         input_dims, means = fixed[:3], np.array(fixed[8:])
@@ -682,8 +688,8 @@ def load_checkpoint(path) -> Checkpoint:
             spec = archdsl.parse(arch, input_dims)
         except ArchError as e:
             raise CheckpointError(f"corrupt arch {arch!r}: {e}") from e
-        # each parameter is stored as float64: no larger net can be in the file
-        if 8 * spec.param_count > r.left:
+        # each parameter takes stored.itemsize bytes: no larger net can be in the file
+        if stored.itemsize * spec.param_count > r.left:
             raise CheckpointError(f"arch {arch!r} at input {input_dims} has more "
                                   f"parameters than the file holds")
         # zero init: every parameter is overwritten from the file below
@@ -699,7 +705,7 @@ def load_checkpoint(path) -> Checkpoint:
             if n_tensors != len(node.params):
                 raise CheckpointError("parameter tensor count mismatch")
             for name in sorted(node.params):
-                r.read_into(node.params[name].data, f"{i}.{name}")
+                r.read_into(node.params[name].data, stored, f"{i}.{name}")
 
         adam_state = None
         if flags & _FLAG_ADAM:
@@ -713,8 +719,8 @@ def load_checkpoint(path) -> Checkpoint:
                     raise CheckpointError(f"Adam state key {key!r} names no parameter of "
                                           f"arch {arch!r}")
                 state.add_zero_moments(key, params[key].dims)
-                r.read_into(state.m[key].data, f"Adam m of {key!r}")
-                r.read_into(state.v[key].data, f"Adam v of {key!r}")
+                r.read_into(state.m[key].data, _F8, f"Adam m of {key!r}")
+                r.read_into(state.v[key].data, _F8, f"Adam v of {key!r}")
             adam_state = state
 
         if r.left:

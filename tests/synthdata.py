@@ -1,7 +1,8 @@
 """Synthetic image tasks shared by the trainer and acceptance tests, a
 binary PPM writer for tests that ingest image files, and the references
 that ``trainer.train_step`` and test-mode ``Network.forward`` must match:
-the whole-gradient training step and the one-pass forward.
+the whole-gradient training step and the one-pass forward, and a digest
+of a loaded checkpoint's arrays.
 
 Bar images: 3-channel squares with a bright horizontal or vertical bar
 at a random position over Gaussian background noise. Orientation is the
@@ -11,6 +12,7 @@ it from being trivial at high noise levels.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +104,18 @@ def one_pass_forward(net, batch):
     for node in net.nodes:
         x, _ = trainer.DISPATCH[node.spec.kind][0](node, x, Mode.TEST, None)
     return x
+
+
+def checkpoint_arrays_sha256(ck) -> str:
+    """sha256 over a loaded checkpoint's parameters in ``param_dict``
+    order, in their in-memory dtype, then, with Adam state, its step
+    count ``t`` as u64 and the m and v moments of each key in sorted order."""
+    h = hashlib.sha256()
+    for p in ck.net.param_dict().values():
+        h.update(p.data)
+    if ck.adam_state is not None:
+        h.update(np.uint64(ck.adam_state.t).tobytes())
+        for key in sorted(ck.adam_state.m):
+            h.update(ck.adam_state.m[key].data)
+            h.update(ck.adam_state.v[key].data)
+    return h.hexdigest()

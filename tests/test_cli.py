@@ -544,6 +544,19 @@ class TestTrainEvalPredict:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
 
+    def test_predict_on_logits_wider_than_the_float_range_prints_no_warning(self, tmp_path):
+        # finite logits 2e308 apart: their difference overflows to -inf,
+        # whose probability is 0
+        net = build(archdsl.parse(TINY_ARCH, (3, 12, 12)))
+        net.nodes[-2].params["b"].data.flat = (1e308, -1e308)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, class_names=["cat", "dog"])
+        write_ppm(tmp_path / "x.ppm", np.full((3, 12, 12), 100.0))
+        proc = run_cli_process("predict", "--checkpoint", str(path),
+                               "--image", str(tmp_path / "x.ppm"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "1 cat 1.000000\n2 dog 0.000000\n"
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("arch, names, said", [
         # saved without class names: eval and predict fall back to the 20

@@ -2,13 +2,15 @@ import math
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthdata import bar_dataset, one_pass_forward, whole_gradient_step
+from synthdata import (bar_dataset, checkpoint_arrays_sha256, one_pass_forward,
+                       whole_gradient_step)
 
 from microvoc import archdsl, trainer
 from microvoc.augment import Sample
@@ -630,13 +632,26 @@ class TestCheckpoint:
         assert np.array_equal(ck.net.forward(samples[0].image).data, logits_before)
 
     def test_float32_round_trip(self, tmp_path):
-        net = small_net(seed=16, dtype=np.float32)
-        path = tmp_path / "net32.ckpt"
+        # a float32 net's file is version 2 and 4 bytes a parameter shorter
+        # than the float64 file (version 1) of the same net
+        net, net64 = small_net(seed=16, dtype=np.float32), small_net(seed=16)
+        path, path64 = tmp_path / "net32.ckpt", tmp_path / "net64.ckpt"
         save_checkpoint(path, net)
+        save_checkpoint(path64, net64)
+        data, data64 = path.read_bytes(), path64.read_bytes()
+        assert struct.unpack_from("<II", data, 4) == (2, 1)
+        assert struct.unpack_from("<II", data64, 4) == (1, 0)
+        assert len(data64) - len(data) == 4 * net.spec.param_count
+        # the guard that the arch's parameters fit in the file reads the
+        # stored item size: at 8 bytes a parameter it would refuse this file
+        assert 8 * net.spec.param_count > len(data)
         ck = load_checkpoint(path)
         assert ck.net.dtype == np.float32
         for k, p in net.param_dict().items():
             assert np.array_equal(ck.net.param_dict()[k].data, p.data)
+        path.write_bytes(data[:-1])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         net = small_net(seed=17)
@@ -682,11 +697,11 @@ class TestCheckpoint:
         before = path.read_bytes()
         write_tensor, written = trainer._write_tensor, []
 
-        def fail_on_third(fh, t):
+        def fail_on_third(fh, t, stored):
             written.append(t)
             if len(written) == 3:
                 raise OSError("disk full")
-            write_tensor(fh, t)
+            write_tensor(fh, t, stored)
 
         monkeypatch.setattr(trainer, "_write_tensor", fail_on_third)
         with pytest.raises(OSError, match="disk full"):
@@ -724,6 +739,50 @@ class TestCheckpoint:
         ck = load_checkpoint(path)
         assert ck.net.nodes[0].frozen
         assert sorted(ck.adam_state.m) == sorted(ck.adam_state.v) == sorted(net.param_dict())
+
+
+class TestVersion1Checkpoint:
+    """``data/v1_float32_adam.ckpt`` is a float32 net with Adam state in
+    format version 1, which stores every tensor as f8. It was written at
+    commit 3c646ae, the last version-1 writer, from the repository root by
+
+        PYTHONPATH=src python -c "
+        import numpy as np
+        from microvoc.optim import AdamState
+        from microvoc.trainer import build, save_checkpoint
+        net = build('IMG-(Conv2-ReLU-MaxPool)-(FC8-ReLU-FC2)-Softmax', seed=4,
+                    dtype=np.float32, input_dims=(3, 8, 8))
+        state = AdamState.for_params(net.param_dict())
+        rng = np.random.default_rng(5)
+        for t in [*state.m.values(), *state.v.values()]: t.data[...] = rng.random(t.dims)
+        state.t = 9
+        save_checkpoint('tests/data/v1_float32_adam.ckpt', net, state, iteration=9,
+                        alpha=1e-4, class_names=['cat', 'dog'])
+        "
+    """
+    PATH = Path(__file__).parent / "data" / "v1_float32_adam.ckpt"
+    #: ``checkpoint_arrays_sha256`` of the file as loaded at commit 3c646ae
+    ARRAYS = "bca0bef88fb4084258c31ecc4b01b3de87fce218e2a8cddbfa0bb539e11b079e"
+
+    def test_loads_and_saves_again_as_version_2(self, tmp_path):
+        data = self.PATH.read_bytes()
+        assert struct.unpack_from("<II", data, 4) == (1, 3)  # float32, Adam state
+        ck = load_checkpoint(self.PATH)
+        assert ck.net.dtype == np.float32
+        assert checkpoint_arrays_sha256(ck) == self.ARRAYS
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(path, ck.net, ck.adam_state, iteration=ck.iteration, alpha=ck.alpha,
+                        class_names=ck.class_names)
+        assert struct.unpack_from("<II", path.read_bytes(), 4) == (2, 3)
+        assert len(data) - path.stat().st_size == 4 * ck.net.spec.param_count
+        again = load_checkpoint(path)
+        assert (again.iteration, again.alpha, again.class_names) == (9, 1e-4, ["cat", "dog"])
+        assert again.adam_state.t == ck.adam_state.t == 9
+        for key, p in ck.net.param_dict().items():
+            assert np.array_equal(again.net.param_dict()[key].data, p.data)
+            assert np.array_equal(again.adam_state.m[key].data, ck.adam_state.m[key].data)
+            assert np.array_equal(again.adam_state.v[key].data, ck.adam_state.v[key].data)
+        assert checkpoint_arrays_sha256(again) == self.ARRAYS
 
 
 @pytest.fixture(scope="module")
@@ -782,6 +841,8 @@ def big_checkpoint(tmp_path_factory):
 
 class TestMultiChunkCheckpoint:
     FC_DIMS = struct.pack("<4I", 128, 4096, 1, 1)  # stored for the weights and both moments
+    #: bytes a stored value takes: the float32 weights', then their float64 moments'
+    ITEMSIZE = (4, 8, 8)
 
     def test_save_and_load_need_only_a_few_chunks(self, big_checkpoint, tmp_path):
         net, state, _ = big_checkpoint
@@ -822,7 +883,7 @@ class TestMultiChunkCheckpoint:
         data = big_checkpoint[2]
         start = self.dims_at(data, which) + len(self.FC_DIMS)
         path = tmp_path / "cut.ckpt"
-        path.write_bytes(data[:start + 8 * chunks * CHUNK + 100])
+        path.write_bytes(data[:start + self.ITEMSIZE[which] * chunks * CHUNK + 100])
         with pytest.raises(CheckpointError, match=error):
             load_checkpoint(path)
 

@@ -19,10 +19,20 @@ A change that must not alter what microvoc computes keeps the sha256 of
 
 Each ``model.ckpt`` holds the Adam state, the scheduler, the alpha of the
 last evaluation and zero channel means. The script prints both hashes of
-each run, then loads each ``model.ckpt``, saves it again and prints
-``ok`` when the bytes match; it exits 1 if a hash differs from its pinned
-value or a round trip changes a byte. The M3 run, float32 with Adam state
-and FC tensors of many chunks, checks the checkpoint decoder's casts.
+each run, then loads each ``model.ckpt`` and prints the sha256 of what it
+loaded, the ``arrays`` line (``synthdata.checkpoint_arrays_sha256``: the
+parameters, the Adam step count and the moments), then saves it again
+and prints ``ok`` when the bytes match; it exits 1 if a hash differs from
+its pinned value or a round trip changes a byte. The M3 run, float32 with
+Adam state and FC tensors of many chunks, checks the version-2 layout:
+f4 parameters beside f8 moments.
+
+The ``arrays`` pins are those of commit 3c646ae, the last to store every
+tensor as f8 (checkpoint format version 1), and the file pins of c06, c10
+and c07aug, float64 nets, are too: their files are still version 1, byte
+for byte. M3's ``model.ckpt`` pin is that of its version-2 file, whose
+float32 parameters are stored as f4: the file changed, while its
+``arrays`` line, what the run computed, did not.
 
 Then, for each net of ``LOGIT_NETS`` (freshly built), it checks that the
 logits of ``evaluate``'s 64-image pieces, whose trunks run in slices of
@@ -57,8 +67,8 @@ import numpy as np
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
-from synthdata import (bar_dataset, fourbar_dataset, one_pass_forward,  # noqa: E402
-                       whole_gradient_step)
+from synthdata import (bar_dataset, checkpoint_arrays_sha256, fourbar_dataset,  # noqa: E402
+                       one_pass_forward, whole_gradient_step)
 
 from microvoc import archdsl  # noqa: E402
 from microvoc.augment import stack_batch  # noqa: E402
@@ -66,29 +76,33 @@ from microvoc.optim import AdamConfig, AdamState, PlateauScheduler  # noqa: E402
 from microvoc.trainer import (Network, TrainConfig, build, evaluate,  # noqa: E402
                               load_checkpoint, save_checkpoint, train, train_step)
 
-#: name -> (dataset, config, pinned history.csv sha256, pinned model.ckpt sha256)
+#: name -> (dataset, config, pinned history.csv, model.ckpt and arrays sha256)
 RUNS = {
     "c06": (lambda: bar_dataset(500, 32, seed=0),
             TrainConfig(arch="IMG-(Conv8-ReLU-MaxPool)-(FC32-ReLU-FC2)-Softmax",
                         max_iterations=600, eval_every=100, seed=1),
             "0f396431032e96852abbd5b3103b2bedcdfcaafebccd367b679237e29b16a964",
-            "9740abb184bb48add4396149a981defb481655216e57d6a6cee877545789557e"),
+            "9740abb184bb48add4396149a981defb481655216e57d6a6cee877545789557e",
+            "f49345bbb9426234917ded3ae04e87b3d8b0851b9c321dcf18e99f422c2076ca"),
     "c10": (lambda: bar_dataset(40, 16, seed=8),
             TrainConfig(arch="IMG-(Conv4-ReLU-MaxPool)-(FC16-ReLU-FC2)-Softmax",
                         max_iterations=60, eval_every=10, seed=21),
             "163253f0b3e4e289452b1cfd65ce7bf3d4981ff9cb25218c59f9ec0201842622",
-            "f016a1126c21f2ab9481f89135804fccdecaf1289ad7bd273d8b803d4b49c819"),
+            "f016a1126c21f2ab9481f89135804fccdecaf1289ad7bd273d8b803d4b49c819",
+            "79bba2054de3351380656debe28faef7eddaf1472312fa57943b01efdd58bbfa"),
     "M3": (lambda: bar_dataset(53, 32, seed=1),
            TrainConfig(arch=archdsl.resolve_arch("M3"), dtype="float32",
                        max_iterations=4, eval_every=2, seed=1),
            "3cc8c374ede4938262c610eba3ec2b3f6a721fc0057c0cbf83b9fd3e404b8a67",
-           "0e15b7b88f9069e77df7e6917cf5eba037e31468dc8a66cf864d84a3a603084f"),
+           "a216788b502372d16241fa9938ee440706b9bb6aadbc0a14e185ecb4ec7a8a40",
+           "a31330ca64dfcd52c0507f99d082b2efa0e41c7365afa9bd497257c4090288fd"),
     "c07aug": (lambda: fourbar_dataset(100, 32, seed=2),
                TrainConfig(arch="IMG-(Conv8-ReLU-MaxPool)-(FC64-ReLU-Dropout-FC4)-Softmax",
                            max_iterations=600, eval_every=100, seed=3, dropout_p=0.5,
                            augment=True, crop=(28, 28)),
                "955d0a36df99c41270afdd136f1d1f77321d96c1b07d1181c34c61531e4b30cc",
-               "cdc6777a2c3d14a50f95ce040d7b85493bc8a8cf555dadffad2f1bec7eaebba3"),
+               "cdc6777a2c3d14a50f95ce040d7b85493bc8a8cf555dadffad2f1bec7eaebba3",
+               "07faf9aa2a648fcf527dfd637c59fec6a097c064eabf4ad27339268f4b6979ea"),
 }
 
 
@@ -157,10 +171,8 @@ def run_hashes(make_dataset, config: TrainConfig, out: Path) -> tuple[str, str]:
                  for name in ("history.csv", "model.ckpt"))
 
 
-def round_trips(config: TrainConfig, path: Path) -> bool:
-    """Whether loading the checkpoint at ``path`` and saving it again
-    gives the same bytes."""
-    ck = load_checkpoint(path)
+def round_trips(config: TrainConfig, ck, path: Path) -> bool:
+    """Whether saving ``ck``, loaded from ``path``, again gives the same bytes."""
     again = path.with_suffix(".again")
     save_checkpoint(again, ck.net, ck.adam_state, iteration=ck.iteration, alpha=ck.alpha,
                     scheduler=ck.make_scheduler(config.scheduler),
@@ -174,13 +186,15 @@ def main() -> int:
         for name, (make_dataset, config, *pinned) in RUNS.items():
             out = Path(tmp) / name
             out.mkdir()
-            for what, got, want in zip(("history.csv", "model.ckpt"),
-                                       run_hashes(make_dataset, config, out), pinned):
+            hashes = run_hashes(make_dataset, config, out)
+            ck = load_checkpoint(out / "model.ckpt")
+            for what, got, want in zip(("history.csv", "model.ckpt", "model.ckpt arrays"),
+                                       (*hashes, checkpoint_arrays_sha256(ck)), pinned):
                 ok = got == want
                 bad += not ok
                 print(f"{name} {what} {got} {'ok' if ok else 'MISMATCH, pinned ' + want}",
                       flush=True)
-            ok = round_trips(config, out / "model.ckpt")
+            ok = round_trips(config, ck, out / "model.ckpt")
             bad += not ok
             print(f"{name} model.ckpt load+save {'ok' if ok else 'MISMATCH'}", flush=True)
     for name, arch, size, dtype in LOGIT_NETS:
