@@ -3,8 +3,9 @@
 Commands: ``train --config F``, ``eval --checkpoint C --manifest M``,
 ``predict --checkpoint C --image I``, ``gradcheck [--layer K]`` and
 ``inspect --arch S``. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numeric failure (a gradient check, a non-finite training loss, or
-an evaluation or prediction whose forward overflows or gives non-finite
+error or out of memory (NumPy's "Unable to allocate ..." on one line), 3
+numeric failure (a gradient check, a non-finite training loss, or an
+evaluation or prediction whose forward overflows or gives non-finite
 logits).
 """
 
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (MicrovocError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

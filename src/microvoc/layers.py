@@ -4,9 +4,9 @@ Layers are pure functions: each ``*_forward`` returns its output plus a
 cache object, and the matching ``*_backward`` turns the cache and an
 upstream gradient into the input gradient, plus for conv and FC a dict
 of parameter gradients keyed by the names their kind's ``realize``
-gives. No kernel writes into its input. ReLU, LRN and dropout take the
-``Mode``: in test mode they cache nothing, as only backward reads a
-cache. The caches of conv, max pooling and FC refer to arrays their
+gives. No kernel writes into its input. ReLU, max pooling, LRN and
+dropout take the ``Mode``: in test mode they cache nothing, as only
+backward reads a cache. The caches of conv and FC refer to arrays their
 forwards make anyway, so the network drops them in test mode. Every
 kernel takes and returns NCHW tensors. Inside, conv works on the
 zero-padded input laid out as an NHWC row grid, one row of C channels
@@ -16,11 +16,13 @@ share one loop over blocks of whole images of about CONV_BLOCK_ROWS grid
 rows, on one reused block-sized grid, accumulator and tap term, so a
 block's working set stays in cache; only the weight gradient pads the
 whole batch, once. Max pooling takes a running maximum over the k*k
-strided views of its input and keeps its output, against which backward
-routes; LRN runs one image at a time on reused (c, h, w) buffers. FC
-backward computes its input gradient first and, given a sink in its
-cache, hands the sink its weight gradient in blocks of FC_BLOCK_ROWS
-output rows instead of returning it, so the whole gradient never exists.
+strided views of its input; in train mode its cache is one byte per
+window, the tap u*k + v of the window's first maximizer, to which
+backward routes the gradient. LRN runs one image at a time on reused
+(c, h, w) buffers. FC backward computes its input gradient first and,
+given a sink in its cache, hands the sink its weight gradient in blocks
+of FC_BLOCK_ROWS output rows instead of returning it, so the whole
+gradient never exists.
 A flag in the conv and FC caches makes their backward skip the parameter
 gradients, for a frozen layer. ``KINDS`` holds one row per kind: its
 token and options in architecture strings, and its ``realize``, which
@@ -376,50 +378,67 @@ def _window_max(windows: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _first_max_tap(windows: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Index u*k + v into ``windows`` of each window's first maximizer: the
+    first view that equals the window's maximum ``out`` or is NaN, as in
+    np.argmax. Counts, per window, the views before that one; the last
+    view is never tested, as a window that missed every other routes there."""
+    tap = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
+    unrouted = np.ones(out.shape, dtype=bool)
+    miss, not_nan = np.empty_like(unrouted), np.empty_like(unrouted)
+    for view in windows[:-1]:
+        np.not_equal(view, out, out=miss)
+        miss &= np.equal(view, view, out=not_nan)  # a NaN is its window's maximizer
+        unrouted &= miss
+        tap += unrouted
+    return tap
+
+
 class PoolCache(NamedTuple):
-    x: np.ndarray  # the forward input
-    out: np.ndarray  # the forward output, not a copy
+    tap: np.ndarray  # (n,c,ho,wo): u*k + v of each window's first maximizer, uint8 for k <= 16
+    x_dims: tuple
     k: int
     stride: int
 
     @property
     def argmax(self) -> np.ndarray:
         """Flat input offset of each window's first (row-major) maximizer,
-        shape (n,c,ho,wo); a NaN counts as the maximum, as in np.argmax.
-        Routed against ``out`` on each access: only backward needs it."""
-        n, c, h, w = self.x.shape
-        k, s, out = self.k, self.stride, self.out
-        ho, wo = out.shape[2:]
-        # offset of each window's element (0, 0), then moved to its maximizer
-        offsets = (np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
-                   + np.arange(0, s * ho * w, s * w).reshape(ho, 1) + np.arange(0, s * wo, s))
-        unrouted = np.ones(out.shape, dtype=bool)
-        for t, view in enumerate(_pool_windows(self.x, k, s)):
-            hit = view == out
-            hit |= np.isnan(view)
-            hit &= unrouted
-            unrouted ^= hit
-            if t:
-                offsets += hit * ((t // k) * w + t % k)
+        shape (n,c,ho,wo), int64; a NaN counts as the maximum, as in
+        np.argmax. Tap t = u*k + v lies u*w + v = t + u*(w - k) past its
+        window's element (0, 0)."""
+        n, c, h, w = self.x_dims
+        k, s, ho, wo = self.k, self.stride, *self.tap.shape[2:]
+        offsets = self.tap.astype(np.int64)
+        offsets //= k
+        offsets *= w - k
+        offsets += self.tap
+        offsets += np.arange(0, n * c * h * w, h * w, dtype=np.int64).reshape(n, c, 1, 1)
+        offsets += np.arange(0, s * ho * w, s * w, dtype=np.int64).reshape(ho, 1)
+        offsets += np.arange(0, s * wo, s, dtype=np.int64)
         return offsets
 
 
-def maxpool_forward(x: Tensor4, k: int, stride: int) -> tuple[Tensor4, PoolCache]:
+def maxpool_forward(x: Tensor4, k: int, stride: int,
+                    mode: Mode = Mode.TRAIN) -> tuple[Tensor4, PoolCache | None]:
     """Max over k*k windows, as a running np.maximum over the k*k strided
-    views (a NaN in a window gives a NaN). The cache keeps the input and the
-    output, against which backward routes a gradient to the first maximizer."""
-    out = _window_max(_pool_windows(x.data, k, stride))
-    return Tensor4(out), PoolCache(x.data, out, k, stride)
+    views (a NaN in a window gives a NaN). Train mode caches only the tap
+    of each window's first maximizer, to which backward routes its
+    gradient; test mode caches nothing."""
+    windows = _pool_windows(x.data, k, stride)
+    out = _window_max(windows)
+    if mode is not Mode.TRAIN:
+        return Tensor4(out), None
+    return Tensor4(out), PoolCache(_first_max_tap(windows, out), x.dims, k, stride)
 
 
 def maxpool_backward(cache: PoolCache, grad_out: Tensor4) -> Tensor4:
     if cache is None:
         raise StateError("maxpool backward called without cached forward state")
-    if grad_out.dims != cache.out.shape:
-        raise ShapeError(f"grad_out dims {grad_out.dims} != forward output dims {cache.out.shape}")
-    gx = np.zeros(cache.x.size, dtype=grad_out.data.dtype)
-    np.add.at(gx, cache.argmax.ravel(), grad_out.data.ravel())
-    return Tensor4(gx.reshape(cache.x.shape))
+    if grad_out.dims != cache.tap.shape:
+        raise ShapeError(f"grad_out dims {grad_out.dims} != forward output dims {cache.tap.shape}")
+    gx = np.zeros(cache.x_dims, dtype=grad_out.data.dtype)
+    np.add.at(gx.reshape(-1), cache.argmax.ravel(), grad_out.data.ravel())
+    return Tensor4(gx)
 
 
 # ---------------------------------------------------------------------------

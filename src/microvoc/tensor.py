@@ -8,6 +8,8 @@ so flat offset of element (i, j, y, x) is ``((i*c + j)*h + y)*w + x``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError
@@ -36,6 +38,10 @@ class Tensor4:
             raise ShapeError(f"all dims must be >= 1, got {dims}")
         if np.dtype(dtype) not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ShapeError(f"unsupported dtype {dtype}")
+        if fill == 0 and math.copysign(1.0, fill) > 0:
+            # +0.0: np.zeros takes a large tensor from fresh zero pages, so
+            # one that is overwritten at once (a checkpoint's) is written once
+            return cls(np.zeros(dims, dtype=dtype))
         return cls(np.full(dims, fill, dtype=dtype))
 
     @property

@@ -94,7 +94,7 @@ DISPATCH = {
                  x, node.params["w"], node.params["b"], node.cfg), _conv_backward),
     "relu": (lambda node, x, mode, rng: relu_forward(x, mode),
              lambda cache, g, *_: (relu_backward(cache, g), {})),
-    "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg),
+    "maxpool": (lambda node, x, mode, rng: maxpool_forward(x, *node.cfg, mode),
                 lambda cache, g, *_: (maxpool_backward(cache, g), {})),
     "lrn": (lambda node, x, mode, rng: lrn_forward(x, node.cfg, mode),
             lambda cache, g, *_: (lrn_backward(cache, g), {})),

@@ -601,6 +601,42 @@ class TestTrainEvalPredict:
         assert main(["train", "--config", str(cfg)]) == 2
 
 
+class TestOutOfMemory:
+    """A MemoryError exits 2 with NumPy's message on one stderr line."""
+
+    MESSAGE = "Unable to allocate 6.45 GiB for an array with shape (1024, 1048576)"
+
+    def _raise(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def _check(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+    def test_train(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        _, manifest = dataset_dir
+        monkeypatch.setattr(microvoc.dataio, "ingest", self._raise)
+        cfg = write_config(tmp_path / "t.cfg", manifest, tmp_path / "run")
+        self._check(["train", "--config", str(cfg)], capsys)
+
+    def test_eval(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(microvoc.trainer, "load_checkpoint", self._raise)
+        self._check(["eval", "--checkpoint", str(tmp_path / "net.ckpt"),
+                     "--manifest", str(tmp_path / "x.manifest")], capsys)
+
+    def test_predict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(microvoc.trainer, "load_checkpoint", self._raise)
+        self._check(["predict", "--checkpoint", str(tmp_path / "net.ckpt"),
+                     "--image", str(tmp_path / "x.ppm")], capsys)
+
+    def test_bare_memory_error_still_names_itself(self, capsys, monkeypatch):
+        def bare(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(microvoc.trainer, "load_checkpoint", bare)
+        assert main(["eval", "--checkpoint", "c", "--manifest", "m"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestUsageErrors:
     def test_no_arguments(self):
         assert main([]) == 1

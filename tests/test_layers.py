@@ -403,6 +403,71 @@ class TestMaxPool:
         assert cache.argmax[0, 0, 0, 0] == 1  # the first NaN, as np.argmax
 
 
+def _reference_argmax(x: np.ndarray, out: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Flat input offset of each window's first maximizer, routed against
+    the forward output as max pooling did when its cache kept its input and
+    output: the first tap, row-major, that equals the window's maximum or
+    is NaN."""
+    n, c, h, w = x.shape
+    ho, wo = out.shape[2:]
+    offsets = (np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+               + np.arange(0, s * ho * w, s * w).reshape(ho, 1) + np.arange(0, s * wo, s))
+    unrouted = np.ones(out.shape, dtype=bool)
+    for u in range(k):
+        for v in range(k):
+            view = x[:, :, u:u + s * ho:s, v:v + s * wo:s]
+            hit = (view == out) | np.isnan(view)
+            hit &= unrouted
+            unrouted ^= hit
+            offsets += hit * (u * w + v)
+    return offsets
+
+
+class TestMaxPoolTapCache:
+    """The train-mode cache keeps only each window's tap; backward routes
+    as the reference that reads the input and output does."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, s, hw", [(2, 2, (8, 10)), (3, 2, (9, 7)), (3, 1, (6, 5)),
+                                          (2, 3, (8, 11))])
+    def test_backward_bytes_match_reference(self, k, s, hw, dtype):
+        rng = np.random.default_rng(k * 10 + s)
+        # few distinct values, so windows tie, plus signed zeros and non-finites
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+        x = rng.choice(values, size=(3, 4, *hw), p=[0.1, 0.2, 0.2, 0.2, 0.2, 0.07, 0.03])
+        x = x.astype(dtype)
+        out, cache = maxpool_forward(Tensor4(x), k, s)
+        g = rng.standard_normal(out.dims).astype(dtype)
+        want = np.zeros(x.size, dtype=dtype)
+        np.add.at(want, _reference_argmax(x, out.data, k, s).ravel(), g.ravel())
+        assert np.isnan(out.data).any() and not np.isnan(out.data).all()
+        assert np.array_equal(cache.argmax, _reference_argmax(x, out.data, k, s))
+        got = maxpool_backward(cache, Tensor4(g)).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_train_cache_is_one_byte_per_window(self):
+        x = Tensor4(np.random.default_rng(3).standard_normal((2, 3, 8, 8)))
+        out, cache = maxpool_forward(x, 2, 2, Mode.TRAIN)
+        arrays = [field for field in cache if isinstance(field, np.ndarray)]
+        assert len(arrays) == 1
+        assert arrays[0].dtype == np.uint8 and arrays[0].shape == out.dims
+
+    def test_test_mode_caches_nothing(self):
+        x = Tensor4(np.random.default_rng(4).standard_normal((2, 3, 8, 8)))
+        test_out, cache = maxpool_forward(x, 2, 2, Mode.TEST)
+        assert cache is None
+        assert np.array_equal(test_out.data, maxpool_forward(x, 2, 2)[0].data)
+
+    def test_window_of_more_than_256_taps(self):
+        # 17 * 17 taps do not fit a byte; the maximizer is the last tap
+        x = np.zeros((1, 1, 17, 17))
+        x[0, 0, 16, 16] = 1.0
+        _, cache = maxpool_forward(Tensor4(x), 17, 1)
+        assert cache.argmax.ravel().tolist() == [17 * 17 - 1]
+        gx = maxpool_backward(cache, t4([2.0], (1, 1, 1, 1)))
+        assert gx.data[0, 0, 16, 16] == 2.0 and gx.data.sum() == 2.0
+
+
 class TestLrn:
     def test_zero_input(self):
         out, _ = lrn_forward(Tensor4.new((1, 3, 2, 2), 0.0), LrnConfig())

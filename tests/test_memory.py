@@ -42,5 +42,33 @@ def test_evaluate_allocates_little_above_its_start():
     _in_fresh_interpreter(_evaluate_allocates_little_above_its_start)
 
 
+def _train_step_allocates_little_above_its_start():
+    # M3 at 32x32 in float32, batch 32: max pooling caches one byte per
+    # window, so its input and output are freed once the next layer has
+    # read them; caching both would hold LRN1's and ReLU3's 8 MiB outputs
+    # through most of backward, for a 72 MiB peak
+    from microvoc.optim import AdamConfig, AdamState
+    from microvoc.tensor import Tensor4
+    from microvoc.trainer import build, train_step
+    net = build("M3", seed=1, dtype=np.float32, input_dims=(3, 32, 32))
+    rng = np.random.default_rng(5)
+    x = Tensor4(rng.standard_normal((32, 3, 32, 32), dtype=np.float32))
+    labels = rng.integers(0, 20, size=32)
+    state, cfg = AdamState(), AdamConfig()
+    train_step(net, x, labels, state, cfg, rng=rng)  # makes the Adam moments
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_step(net, x, labels, state, cfg, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 64 << 20, f"{(peak - start) / 2**20:.1f} MiB"
+
+
+def test_train_step_allocates_little_above_its_start():
+    _in_fresh_interpreter(_train_step_allocates_little_above_its_start)
+
+
 if __name__ == "__main__":
     globals()[sys.argv[1]]()

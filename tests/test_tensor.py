@@ -11,6 +11,12 @@ class TestNew:
         assert t.dims == (1, 1, 2, 2)
         assert np.array_equal(t.data, np.zeros((1, 1, 2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_fill_keeps_its_sign(self, dtype):
+        # a +0 fill takes np.zeros; -0 is filled as given
+        assert not np.signbit(Tensor4.new((1, 2, 3, 4), 0.0, dtype).data).any()
+        assert np.signbit(Tensor4.new((1, 2, 3, 4), -0.0, dtype).data).all()
+
     def test_constant_fill(self):
         t = Tensor4.new((2, 3, 4, 4), 1.5)
         assert t.data.size == 96
