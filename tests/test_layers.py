@@ -437,11 +437,12 @@ class TestMaxPoolTapCache:
         x = rng.choice(values, size=(3, 4, *hw), p=[0.1, 0.2, 0.2, 0.2, 0.2, 0.07, 0.03])
         x = x.astype(dtype)
         out, cache = maxpool_forward(Tensor4(x), k, s)
+        assert np.isnan(out.data).any() and not np.isnan(out.data).all()
+        reference = _reference_argmax(x, out.data, k, s)
+        assert np.array_equal(cache.argmax, reference)
         g = rng.standard_normal(out.dims).astype(dtype)
         want = np.zeros(x.size, dtype=dtype)
-        np.add.at(want, _reference_argmax(x, out.data, k, s).ravel(), g.ravel())
-        assert np.isnan(out.data).any() and not np.isnan(out.data).all()
-        assert np.array_equal(cache.argmax, _reference_argmax(x, out.data, k, s))
+        np.add.at(want, reference.ravel(), g.ravel())
         got = maxpool_backward(cache, Tensor4(g)).data
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
